@@ -14,12 +14,13 @@ use iotmap_core::report::{pct, table1, TextTable};
 use iotmap_core::{
     Characterizer, GroundTruthReport, ObservedPorts, PatternRegistry, Source, StabilityAnalysis,
 };
+use iotmap_netflow::{FlowFold, FlowRecord, LineId};
 use iotmap_nettypes::{Date, StudyPeriod};
 use iotmap_traffic::{
-    analysis::BUCKET_LABELS, cascade_impact, source_ablation, visibility_per_provider, RegionGroup,
-    ScannerAnalysis,
+    analysis::BUCKET_LABELS, cascade_impact, source_ablation, visibility_per_provider, Contacts,
+    RegionGroup, ScannerAnalysis,
 };
-use iotmap_world::{BgpStreamEventKind, WorldConfig};
+use iotmap_world::{BgpStreamEventKind, TrafficSimulator, WorldConfig};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::IpAddr;
 
@@ -488,18 +489,29 @@ fn run_vantage(exp: &Experiment, config: &WorldConfig) {
 
 // --------------------------------------------------------- §3.4 validation
 
-/// Collects per-IP byte totals for flows into a published prefix set.
-struct PublishedSpaceSink {
+/// Per-IP byte totals for flows into a published prefix set.
+struct PublishedSpaceFold {
     prefixes: Vec<iotmap_nettypes::Ipv4Prefix>,
-    active: HashMap<IpAddr, u64>,
 }
 
-impl iotmap_netflow::FlowSink for PublishedSpaceSink {
-    fn accept(&mut self, r: &iotmap_netflow::FlowRecord) {
+impl FlowFold for PublishedSpaceFold {
+    type Partial = HashMap<IpAddr, u64>;
+
+    fn make(&self) -> Self::Partial {
+        HashMap::new()
+    }
+
+    fn fold(&self, active: &mut Self::Partial, r: &FlowRecord) {
         if let IpAddr::V4(a) = r.remote {
             if self.prefixes.iter().any(|p| p.contains(a)) {
-                *self.active.entry(r.remote).or_default() += r.bytes;
+                *active.entry(r.remote).or_default() += r.bytes;
             }
+        }
+    }
+
+    fn merge(&self, active: &mut Self::Partial, other: Self::Partial) {
+        for (ip, bytes) in other {
+            *active.entry(ip).or_default() += bytes;
         }
     }
 }
@@ -533,12 +545,14 @@ fn run_validation(exp: &Experiment) {
     // the whole point is to catch active published IPs the methodology
     // missed.
     eprintln!("# replaying traffic against Microsoft's published space…");
-    let mut sink = PublishedSpaceSink {
+    let fold = PublishedSpaceFold {
         prefixes: pub_truth.microsoft_prefixes.clone(),
-        active: HashMap::new(),
     };
-    iotmap_world::TrafficSimulator::new(&exp.world).run(exp.world.config.study_period, &mut sink);
-    let cov = iotmap_core::validate::ActiveCoverage::compute(disc, &sink.active);
+    // The same faulted border router the contact and analysis passes see.
+    let sim =
+        TrafficSimulator::with_faults(&exp.world, exp.faults.seed, exp.faults.netflow.clone());
+    let (active, _) = sim.run_fold(exp.world.config.study_period, &fold);
+    let cov = iotmap_core::validate::ActiveCoverage::compute(disc, &active);
     println!(
         "microsoft: {} published-space IPs active at the ISP; methodology misses {} (≈{} of that traffic volume)",
         cov.active_published,
@@ -601,7 +615,7 @@ fn run_diversity(exp: &Experiment) {
 
 // ------------------------------------------------------------------ Fig 5
 
-fn run_fig5(exp: &Experiment, contacts: &iotmap_traffic::ContactSink<'_>) {
+fn run_fig5(exp: &Experiment, contacts: &Contacts) {
     let analysis = ScannerAnalysis::new(&exp.index, contacts);
     let thresholds = [10, 20, 50, 100, 200, 500, 1000];
     let mut t = TextTable::new(&["Threshold", "Lines flagged", "IPv4 visibility"]);
@@ -622,11 +636,7 @@ fn run_fig5(exp: &Experiment, contacts: &iotmap_traffic::ContactSink<'_>) {
 
 // ------------------------------------------------------------------ Fig 6
 
-fn run_fig6(
-    exp: &Experiment,
-    contacts: &iotmap_traffic::ContactSink<'_>,
-    excluded: &HashSet<iotmap_netflow::LineId>,
-) {
+fn run_fig6(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
     let vis = visibility_per_provider(&exp.index, contacts, excluded);
     let mut rows: Vec<_> = vis.iter().collect();
     rows.sort_by_key(|v| exp.label(&v.provider));
@@ -644,11 +654,7 @@ fn run_fig6(
 
 // ------------------------------------------------------------------ Fig 7
 
-fn run_fig7(
-    exp: &Experiment,
-    contacts: &iotmap_traffic::ContactSink<'_>,
-    excluded: &HashSet<iotmap_netflow::LineId>,
-) {
+fn run_fig7(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
     // Restricted map: what certificates alone would have found.
     let mut restricted: HashMap<String, HashSet<IpAddr>> = HashMap::new();
     for (name, disc) in exp.discovery.per_provider() {
@@ -2877,5 +2883,40 @@ fn run_scenario(
     if !all_deterministic {
         eprintln!("# scenario: determinism oracle FAILED — see rows above");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iotmap_netflow::Direction;
+    use iotmap_nettypes::PortProto;
+
+    /// The fold law: folding any split of the flow stream into two
+    /// partials and merging them equals the serial fold.
+    #[test]
+    fn published_space_fold_merges_like_it_folds() {
+        let fold = PublishedSpaceFold {
+            prefixes: vec!["10.1.0.0/16".parse().unwrap()],
+        };
+        let records: Vec<FlowRecord> = (0..24u64)
+            .map(|i| FlowRecord {
+                time: Date::new(2022, 3, 1).midnight(),
+                line: LineId(i % 5),
+                remote: format!("10.{}.0.{}", i % 3, i % 4).parse().unwrap(),
+                port: PortProto::tcp(443),
+                direction: Direction::Downstream,
+                bytes: 100 * (i + 1),
+                packets: 1,
+            })
+            .collect();
+        let serial = fold.fold_all(&records);
+        assert_eq!(serial.len(), 4, "only the four 10.1.0.x remotes count");
+        for split in 0..=records.len() {
+            let (a, b) = records.split_at(split);
+            let mut left = fold.fold_all(a);
+            fold.merge(&mut left, fold.fold_all(b));
+            assert_eq!(left, serial, "split at {split}");
+        }
     }
 }

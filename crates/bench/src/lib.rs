@@ -5,12 +5,12 @@
 //! behind [`iotmap::Pipeline`]; this crate wraps its [`RunArtifacts`] with
 //! the experiment-only extras (anonymized labels) and the tiny
 //! dependency-free CLI parser. See `src/bin/exp.rs` for the experiment
-//! entry point and `benches/` for the Criterion micro-benchmarks.
+//! entry point and `benches/` for the Criterion micro-benchmarks (off by
+//! default behind the `bench-deps` feature).
 
 pub use iotmap::{Pipeline, RunArtifacts, SCANNER_THRESHOLD};
 
 use iotmap_faults::FaultPlan;
-use iotmap_netflow::FlowSink;
 use iotmap_nettypes::Error;
 use iotmap_traffic::Anonymization;
 use iotmap_world::WorldConfig;
@@ -37,8 +37,8 @@ impl Experiment {
     /// Build everything for a configuration, panicking on invalid built-in
     /// patterns (which would be a bug, not an input error). This is the
     /// §3 + §4 part of the study (discovery, validation, footprints);
-    /// traffic passes are separate because different experiments need
-    /// different sinks.
+    /// traffic passes are separate because only some experiments need
+    /// them, each over its own study period.
     ///
     /// Binaries should reach for [`Experiment::try_prepare`] instead and
     /// exit 1 with the error message (the `exp` contract for stage
@@ -107,14 +107,6 @@ impl Experiment {
     pub fn label(&self, provider: &str) -> &'static str {
         self.anonymization.label(provider)
     }
-}
-
-/// A sink adapter so `TrafficSimulator` can feed any `FlowSink` from this
-/// crate's experiments without exposing world internals.
-pub struct NullSink;
-
-impl FlowSink for NullSink {
-    fn accept(&mut self, _record: &iotmap_netflow::FlowRecord) {}
 }
 
 /// Parse `--seed`, `--scale` style CLI options (tiny, dependency-free).

@@ -8,19 +8,18 @@
 //!
 //! This crate models exactly that: [`FlowRecord`]s, a packet
 //! [`sampler`], [`router`]-side collection with ingress filtering, line
-//! [`anonymize`]ation, and streaming [`sink`]s so week-long traffic
-//! simulations never need to materialize the full flow table.
+//! [`anonymize`]ation, and mergeable [`fold`]s — the one way to consume
+//! the exported stream — so week-long traffic simulations never need to
+//! materialize the full flow table.
 
 pub mod anonymize;
 pub mod fold;
 pub mod record;
 pub mod router;
 pub mod sampler;
-pub mod sink;
 
 pub use anonymize::Anonymizer;
-pub use fold::{CountingFold, FlowFold, FlowTotals};
+pub use fold::{CountingFold, FlowFold, FlowTotals, StoringSink};
 pub use record::{Direction, FlowRecord, LineId};
 pub use router::BorderRouter;
 pub use sampler::PacketSampler;
-pub use sink::{CountingSink, FlowSink, MultiSink, StoringSink};

@@ -15,7 +15,6 @@ use crate::record::FlowRecord;
 #[cfg(test)]
 use crate::record::LineId;
 use crate::sampler::PacketSampler;
-use crate::sink::FlowSink;
 use iotmap_faults::NetflowFaults;
 use iotmap_nettypes::SimRng;
 
@@ -75,8 +74,9 @@ impl BorderRouter {
         }
     }
 
-    /// Process one true flow and forward the exported record, if any.
-    pub fn process(&mut self, true_flow: &FlowRecord, sink: &mut dyn FlowSink) {
+    /// Process one true flow and append the exported record, if any, to
+    /// `out`.
+    pub fn process(&mut self, true_flow: &FlowRecord, out: &mut Vec<FlowRecord>) {
         if true_flow.line.0 > self.max_line {
             self.spoofed_dropped += 1;
             return;
@@ -113,7 +113,7 @@ impl BorderRouter {
                 }
                 est.line = self.anonymizer.anonymize(true_flow.line);
                 self.exported += 1;
-                sink.accept(&est);
+                out.push(est);
             }
         }
     }
@@ -136,8 +136,7 @@ impl BorderRouter {
 mod tests {
     use super::*;
     use crate::record::Direction;
-    use crate::sink::StoringSink;
-    use iotmap_nettypes::{Date, PortProto};
+    use iotmap_nettypes::{Date, PortProto, SimDuration};
 
     fn flow(line: u64, bytes: u64, packets: u64) -> FlowRecord {
         FlowRecord {
@@ -154,46 +153,96 @@ mod tests {
     #[test]
     fn spoofed_sources_dropped() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut sink = StoringSink::new();
-        r.process(&flow(100, 10, 1), &mut sink);
-        r.process(&flow(99, 10, 1), &mut sink);
+        let mut out = Vec::new();
+        r.process(&flow(100, 10, 1), &mut out);
+        r.process(&flow(99, 10, 1), &mut out);
         assert_eq!(r.spoofed_dropped, 1);
-        assert_eq!(sink.records.len(), 1);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn lines_are_anonymized_consistently() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut sink = StoringSink::new();
-        r.process(&flow(5, 10, 1), &mut sink);
-        r.process(&flow(5, 20, 1), &mut sink);
-        r.process(&flow(6, 30, 1), &mut sink);
-        assert_ne!(sink.records[0].line, LineId(5));
-        assert_eq!(sink.records[0].line, sink.records[1].line);
-        assert_ne!(sink.records[0].line, sink.records[2].line);
+        let mut out = Vec::new();
+        r.process(&flow(5, 10, 1), &mut out);
+        r.process(&flow(5, 20, 1), &mut out);
+        r.process(&flow(6, 30, 1), &mut out);
+        assert_ne!(out[0].line, LineId(5));
+        assert_eq!(out[0].line, out[1].line);
+        assert_ne!(out[0].line, out[2].line);
     }
 
     #[test]
     fn sampling_accounted() {
         let mut r = BorderRouter::new(1000, 99, 7, SimRng::new(2));
-        let mut sink = StoringSink::new();
+        let mut out = Vec::new();
         for _ in 0..500 {
-            r.process(&flow(1, 100, 1), &mut sink);
+            r.process(&flow(1, 100, 1), &mut out);
         }
         assert_eq!(r.exported + r.sampled_out, 500);
         assert!(r.sampled_out > 450, "sampled_out {}", r.sampled_out);
-        assert_eq!(sink.records.len() as u64, r.exported);
+        assert_eq!(out.len() as u64, r.exported);
     }
 
     #[test]
     fn unsampled_router_exports_everything() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(3));
-        let mut sink = StoringSink::new();
+        let mut out = Vec::new();
         for i in 0..50 {
-            r.process(&flow(i % 10, 100, 5), &mut sink);
+            r.process(&flow(i % 10, 100, 5), &mut out);
         }
         assert_eq!(r.exported, 50);
-        assert_eq!(sink.records.len(), 50);
-        assert_eq!(sink.records[0].bytes, 100);
+        assert_eq!(out.len(), 50);
+        assert_eq!(out[0].bytes, 100);
+    }
+
+    /// The router makes the only export-fault rolls: they are pure
+    /// (identical reruns), a zero rate drops nothing, a heavier plan's
+    /// survivors all survive a lighter plan, and every processed flow is
+    /// accounted for exactly once.
+    #[test]
+    fn export_faults_are_deterministic_nested_and_accounted() {
+        let flows: Vec<FlowRecord> = (0..400u64)
+            .map(|i| FlowRecord {
+                time: Date::new(2022, 3, 1).midnight() + SimDuration::hours(i % 48),
+                remote: format!("192.0.2.{}", i % 200).parse().unwrap(),
+                // Lines above 99 are spoofed and dropped before sampling.
+                ..flow(i % 110, 100 * (i + 1), 1 + i % 3)
+            })
+            .collect();
+        let run = |export_drop_rate: f64, reset_rate: f64| {
+            let faults = NetflowFaults {
+                export_drop_rate,
+                reset_rate,
+            };
+            let mut r = BorderRouter::with_faults(2, 99, 7, SimRng::new(4), 11, faults);
+            let mut out = Vec::new();
+            for f in &flows {
+                r.process(f, &mut out);
+            }
+            assert_eq!(
+                r.exported + r.sampled_out + r.spoofed_dropped + r.export_dropped,
+                flows.len() as u64,
+                "every flow accounted once"
+            );
+            assert_eq!(r.exported, out.len() as u64);
+            out
+        };
+        assert_eq!(run(0.3, 0.1), run(0.3, 0.1), "pure rolls: identical reruns");
+        let clean = run(0.0, 0.0);
+        let unfaulted = {
+            let mut r = BorderRouter::new(2, 99, 7, SimRng::new(4));
+            let mut out = Vec::new();
+            flows.iter().for_each(|f| r.process(f, &mut out));
+            out
+        };
+        assert_eq!(clean, unfaulted, "zero rate drops nothing");
+        let (light, heavy) = (run(0.1, 0.05), run(0.5, 0.2));
+        assert!(heavy.len() < light.len() && light.len() < clean.len());
+        // Nested drops: every survivor of the heavy plan survived light
+        // (the sampler's stream is untouched by faults, so survivors are
+        // the same estimates).
+        assert!(heavy.iter().all(|r| light.contains(r)));
+        assert!(light.iter().all(|r| clean.contains(r)));
     }
 }

@@ -9,13 +9,9 @@
 //! ever materializing the full flow set. Byte volumes accumulate as
 //! exact `u64` sums and convert to `f64` only at report time, so no
 //! float-rounding order dependence can creep in.
-//!
-//! [`AnalysisSink`] remains the serial front: a thin wrapper folding
-//! into a single partial, for callers that drive a
-//! [`FlowSink`](iotmap_netflow::FlowSink).
 
 use crate::index::IpIndex;
-use iotmap_netflow::{Direction, FlowFold, FlowRecord, FlowSink, LineId};
+use iotmap_netflow::{Direction, FlowFold, FlowRecord, LineId};
 use iotmap_nettypes::{Continent, PortProto, StudyPeriod};
 use iotmap_stats::{Ecdf, HourlySeries};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -310,33 +306,6 @@ impl FlowFold for AnalysisFold<'_> {
 
     fn merge(&self, acc: &mut AnalysisPartial, other: AnalysisPartial) {
         acc.merge(other);
-    }
-}
-
-/// The serial accumulating sink: one partial driven by a
-/// [`FlowSink`] stream.
-pub struct AnalysisSink<'a> {
-    fold: AnalysisFold<'a>,
-    partial: AnalysisPartial,
-}
-
-impl<'a> AnalysisSink<'a> {
-    /// Sink covering a study period.
-    pub fn new(index: &'a IpIndex, excluded: &'a HashSet<LineId>, period: StudyPeriod) -> Self {
-        let fold = AnalysisFold::new(index, excluded, period);
-        let partial = fold.make();
-        AnalysisSink { fold, partial }
-    }
-
-    /// Consume the sink into a report.
-    pub fn into_report(self) -> AnalysisReport {
-        self.fold.into_report(self.partial)
-    }
-}
-
-impl FlowSink for AnalysisSink<'_> {
-    fn accept(&mut self, r: &FlowRecord) {
-        self.fold.fold(&mut self.partial, r);
     }
 }
 
@@ -638,14 +607,14 @@ mod tests {
         }
     }
 
-    fn run(records: &[FlowRecord]) -> AnalysisReport {
+    fn run_excluding(excluded: &HashSet<LineId>, records: &[FlowRecord]) -> AnalysisReport {
         let idx = index();
-        let excluded = HashSet::new();
-        let mut sink = AnalysisSink::new(&idx, &excluded, StudyPeriod::main_week());
-        for r in records {
-            sink.accept(r);
-        }
-        sink.into_report()
+        let fold = AnalysisFold::new(&idx, excluded, StudyPeriod::main_week());
+        fold.into_report(fold.fold_all(records))
+    }
+
+    fn run(records: &[FlowRecord]) -> AnalysisReport {
+        run_excluding(&HashSet::new(), records)
     }
 
     #[test]
@@ -729,12 +698,14 @@ mod tests {
 
     #[test]
     fn excluded_lines_and_unknown_remotes_ignored() {
-        let idx = index();
         let excluded: HashSet<LineId> = [LineId(9)].into_iter().collect();
-        let mut sink = AnalysisSink::new(&idx, &excluded, StudyPeriod::main_week());
-        sink.accept(&record(9, "10.0.0.1", 1, Direction::Downstream, 1000, 443));
-        sink.accept(&record(1, "99.9.9.9", 1, Direction::Downstream, 1000, 443));
-        let report = sink.into_report();
+        let report = run_excluding(
+            &excluded,
+            &[
+                record(9, "10.0.0.1", 1, Direction::Downstream, 1000, 443),
+                record(1, "99.9.9.9", 1, Direction::Downstream, 1000, 443),
+            ],
+        );
         assert_eq!(report.total_lines(), 0);
         assert_eq!(report.total_downstream("alpha"), 0);
     }
@@ -752,12 +723,9 @@ mod tests {
 
     #[test]
     fn out_of_window_flows_dropped() {
-        let idx = index();
-        let excluded = HashSet::new();
-        let mut sink = AnalysisSink::new(&idx, &excluded, StudyPeriod::main_week());
         // A flow from December (outage week) must not land in the main
         // week's buckets.
-        sink.accept(&FlowRecord {
+        let report = run(&[FlowRecord {
             time: Date::new(2021, 12, 5).midnight(),
             line: LineId(1),
             remote: "10.0.0.1".parse().unwrap(),
@@ -765,8 +733,7 @@ mod tests {
             direction: Direction::Downstream,
             bytes: 1000,
             packets: 1,
-        });
-        let report = sink.into_report();
+        }]);
         assert_eq!(report.fig9_downstream("alpha").unwrap().total(), 0.0);
     }
 
@@ -785,18 +752,11 @@ mod tests {
         let idx = index();
         let excluded = HashSet::new();
         let fold = AnalysisFold::new(&idx, &excluded, StudyPeriod::main_week());
-        let mut serial = fold.make();
-        for r in &records {
-            fold.fold(&mut serial, r);
-        }
-        let serial_report = fold.into_report(serial);
+        let serial_report = fold.into_report(fold.fold_all(&records));
         for split in 0..=records.len() {
             let (a, b) = records.split_at(split);
-            let mut left = fold.make();
-            a.iter().for_each(|r| fold.fold(&mut left, r));
-            let mut right = fold.make();
-            b.iter().for_each(|r| fold.fold(&mut right, r));
-            fold.merge(&mut left, right);
+            let mut left = fold.fold_all(a);
+            fold.merge(&mut left, fold.fold_all(b));
             assert_eq!(
                 fold.into_report(left),
                 serial_report,

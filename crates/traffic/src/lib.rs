@@ -5,7 +5,8 @@
 //! 1. the **discovered backend map** produced by `iotmap-core` (dedicated
 //!    IPs only, §3.4), distilled into an [`IpIndex`], and
 //! 2. **anonymized, sampled NetFlow records** streamed through
-//!    [`iotmap_netflow::FlowSink`]s.
+//!    mergeable [`iotmap_netflow::FlowFold`]s ([`ContactFold`],
+//!    [`AnalysisFold`]).
 //!
 //! The analyses mirror the paper section by section: scanner exclusion
 //! (§5.2, Fig. 5), backend visibility (Fig. 6) and per-source line
@@ -21,9 +22,9 @@ pub mod scanners;
 pub mod visibility;
 pub mod whatif;
 
-pub use analysis::{AnalysisFold, AnalysisPartial, AnalysisReport, AnalysisSink, RegionGroup};
+pub use analysis::{AnalysisFold, AnalysisPartial, AnalysisReport, RegionGroup};
 pub use anonymize::Anonymization;
 pub use index::{IpIndex, IpMeta};
-pub use scanners::{ContactFold, ContactSink, ScannerAnalysis, ScannerCurvePoint};
+pub use scanners::{ContactFold, Contacts, ScannerAnalysis, ScannerCurvePoint};
 pub use visibility::{source_ablation, visibility_per_provider, ProviderVisibility};
 pub use whatif::{cascade_impact, CloudDependence};

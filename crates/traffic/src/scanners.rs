@@ -6,9 +6,13 @@
 //! if it contacts more than a threshold of the server IPs."
 
 use crate::index::IpIndex;
-use iotmap_netflow::{FlowFold, FlowRecord, FlowSink, LineId};
+use iotmap_netflow::{FlowFold, FlowRecord, LineId};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
+
+/// Result of the contact pass: per line, the distinct backend IPs it
+/// contacted (both families).
+pub type Contacts = HashMap<LineId, HashSet<IpAddr>>;
 
 /// The contact pass as a mergeable fold: per-line contact sets are
 /// pure set unions, so per-shard partials merged in any split of the
@@ -25,10 +29,10 @@ impl<'a> ContactFold<'a> {
 }
 
 impl FlowFold for ContactFold<'_> {
-    type Partial = HashMap<LineId, HashSet<IpAddr>>;
+    type Partial = Contacts;
 
-    fn make(&self) -> Self::Partial {
-        HashMap::new()
+    fn make(&self) -> Contacts {
+        Contacts::new()
     }
 
     fn fold(&self, acc: &mut Self::Partial, record: &FlowRecord) {
@@ -42,38 +46,6 @@ impl FlowFold for ContactFold<'_> {
         for (line, ips) in other {
             acc.entry(line).or_default().extend(ips);
         }
-    }
-}
-
-/// First pass over the flows: per-line backend contact sets.
-pub struct ContactSink<'a> {
-    fold: ContactFold<'a>,
-    /// Per line: distinct backend IPs contacted (both families).
-    pub per_line: HashMap<LineId, HashSet<IpAddr>>,
-}
-
-impl<'a> ContactSink<'a> {
-    /// New sink over an index.
-    pub fn new(index: &'a IpIndex) -> Self {
-        ContactSink {
-            fold: ContactFold::new(index),
-            per_line: HashMap::new(),
-        }
-    }
-
-    /// Wrap an already-folded contact partial (e.g. from a streaming
-    /// [`ContactFold`] pass) so the scanner analysis can consume it.
-    pub fn from_parts(index: &'a IpIndex, per_line: HashMap<LineId, HashSet<IpAddr>>) -> Self {
-        ContactSink {
-            fold: ContactFold::new(index),
-            per_line,
-        }
-    }
-}
-
-impl FlowSink for ContactSink<'_> {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.fold.fold(&mut self.per_line, record);
     }
 }
 
@@ -92,19 +64,18 @@ pub struct ScannerCurvePoint {
 /// The scanner analysis over contact sets.
 pub struct ScannerAnalysis<'a> {
     index: &'a IpIndex,
-    contacts: &'a ContactSink<'a>,
+    contacts: &'a Contacts,
 }
 
 impl<'a> ScannerAnalysis<'a> {
     /// Analyse a completed contact pass.
-    pub fn new(index: &'a IpIndex, contacts: &'a ContactSink<'a>) -> Self {
+    pub fn new(index: &'a IpIndex, contacts: &'a Contacts) -> Self {
         ScannerAnalysis { index, contacts }
     }
 
     /// Lines contacting at least `threshold` distinct backend IPs.
     pub fn flagged_lines(&self, threshold: usize) -> HashSet<LineId> {
         self.contacts
-            .per_line
             .iter()
             .filter(|(_, s)| s.len() >= threshold)
             .map(|(l, _)| *l)
@@ -119,12 +90,7 @@ impl<'a> ScannerAnalysis<'a> {
             return 0.0;
         }
         let mut seen: HashSet<IpAddr> = HashSet::new();
-        for (_, contacts) in self
-            .contacts
-            .per_line
-            .iter()
-            .filter(|(_, s)| s.len() < threshold)
-        {
+        for (_, contacts) in self.contacts.iter().filter(|(_, s)| s.len() < threshold) {
             seen.extend(contacts.iter().filter(|ip| ip.is_ipv4()));
         }
         seen.len() as f64 / total as f64
@@ -137,12 +103,7 @@ impl<'a> ScannerAnalysis<'a> {
             return 0.0;
         }
         let mut seen: HashSet<IpAddr> = HashSet::new();
-        for (_, contacts) in self
-            .contacts
-            .per_line
-            .iter()
-            .filter(|(_, s)| s.len() < threshold)
-        {
+        for (_, contacts) in self.contacts.iter().filter(|(_, s)| s.len() < threshold) {
             seen.extend(contacts.iter().filter(|ip| ip.is_ipv6()));
         }
         seen.len() as f64 / total as f64
@@ -196,20 +157,24 @@ mod tests {
         }
     }
 
-    fn contact_ips(sink: &mut ContactSink<'_>, line: u64, n: usize) {
-        for i in 0..n {
-            sink.accept(&flow(line, &format!("10.0.{}.{}", i / 250, 1 + i % 250)));
-        }
+    /// Contact pass over lines that each contact the first `n` backend
+    /// IPs of the index, given as `(line, n)`.
+    fn contacts(idx: &IpIndex, lines: &[(u64, usize)]) -> Contacts {
+        let records: Vec<FlowRecord> = lines
+            .iter()
+            .flat_map(|&(line, n)| {
+                (0..n).map(move |i| flow(line, &format!("10.0.{}.{}", i / 250, 1 + i % 250)))
+            })
+            .collect();
+        ContactFold::new(idx).fold_all(&records)
     }
 
     #[test]
     fn threshold_separates_scanners_from_households() {
         let idx = index(500);
-        let mut sink = ContactSink::new(&idx);
-        contact_ips(&mut sink, 1, 3); // household
-        contact_ips(&mut sink, 2, 5); // bigger household
-        contact_ips(&mut sink, 3, 400); // scanner
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        // Two households (3 and 5 IPs) and a scanner (400).
+        let contacts = contacts(&idx, &[(1, 3), (2, 5), (3, 400)]);
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         assert_eq!(analysis.flagged_lines(100).len(), 1);
         assert!(analysis.flagged_lines(100).contains(&LineId(3)));
         assert_eq!(analysis.flagged_lines(4).len(), 2);
@@ -218,10 +183,9 @@ mod tests {
     #[test]
     fn visibility_excludes_scanner_contacts() {
         let idx = index(100);
-        let mut sink = ContactSink::new(&idx);
-        contact_ips(&mut sink, 1, 10); // household contacting 10 of 100
-        contact_ips(&mut sink, 2, 90); // scanner
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        // A household contacting 10 of 100, and a scanner.
+        let contacts = contacts(&idx, &[(1, 10), (2, 90)]);
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         // With a high threshold the scanner is kept: full visibility.
         assert!((analysis.v4_visibility(1000) - 0.9).abs() < 1e-9);
         // With threshold 50 the scanner is dropped: only the household.
@@ -231,11 +195,9 @@ mod tests {
     #[test]
     fn curve_is_monotone_in_lines() {
         let idx = index(300);
-        let mut sink = ContactSink::new(&idx);
-        for line in 0..20 {
-            contact_ips(&mut sink, line, 3 + (line as usize) * 10);
-        }
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        let lines: Vec<(u64, usize)> = (0..20).map(|l| (l, 3 + l as usize * 10)).collect();
+        let contacts = contacts(&idx, &lines);
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         let curve = analysis.curve(&[10, 50, 100, 200]);
         assert_eq!(curve.len(), 4);
         for w in curve.windows(2) {
@@ -251,15 +213,11 @@ mod tests {
             .map(|i| flow(1 + i % 4, &format!("10.0.0.{}", 1 + i % 50)))
             .collect();
         let fold = ContactFold::new(&idx);
-        let mut serial = fold.make();
-        records.iter().for_each(|r| fold.fold(&mut serial, r));
+        let serial = fold.fold_all(&records);
         for split in 0..=records.len() {
             let (a, b) = records.split_at(split);
-            let mut left = fold.make();
-            a.iter().for_each(|r| fold.fold(&mut left, r));
-            let mut right = fold.make();
-            b.iter().for_each(|r| fold.fold(&mut right, r));
-            fold.merge(&mut left, right);
+            let mut left = fold.fold_all(a);
+            fold.merge(&mut left, fold.fold_all(b));
             assert_eq!(left, serial, "split at {split}");
         }
     }
@@ -267,8 +225,7 @@ mod tests {
     #[test]
     fn non_backend_remotes_ignored() {
         let idx = index(10);
-        let mut sink = ContactSink::new(&idx);
-        sink.accept(&flow(1, "99.99.99.99"));
-        assert!(sink.per_line.is_empty());
+        let contacts = ContactFold::new(&idx).fold_all(&[flow(1, "99.99.99.99")]);
+        assert!(contacts.is_empty());
     }
 }

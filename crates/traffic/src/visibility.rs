@@ -1,7 +1,7 @@
 //! Backend visibility (Fig. 6) and the data-source line ablation (Fig. 7).
 
 use crate::index::IpIndex;
-use crate::scanners::ContactSink;
+use crate::scanners::Contacts;
 use iotmap_netflow::LineId;
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
@@ -23,12 +23,12 @@ pub struct ProviderVisibility {
 /// contact sets.
 pub fn visibility_per_provider(
     index: &IpIndex,
-    contacts: &ContactSink<'_>,
+    contacts: &Contacts,
     excluded: &HashSet<LineId>,
 ) -> Vec<ProviderVisibility> {
     let mut seen: Vec<HashSet<IpAddr>> = vec![HashSet::new(); index.providers().len()];
     let mut lines: Vec<HashSet<LineId>> = vec![HashSet::new(); index.providers().len()];
-    for (line, ips) in &contacts.per_line {
+    for (line, ips) in contacts {
         if excluded.contains(line) {
             continue;
         }
@@ -70,14 +70,14 @@ pub fn visibility_per_provider(
 /// `restricted[p]` is the backend IP subset per provider name.
 pub fn source_ablation(
     index: &IpIndex,
-    contacts: &ContactSink<'_>,
+    contacts: &Contacts,
     excluded: &HashSet<LineId>,
     restricted: &HashMap<String, HashSet<IpAddr>>,
 ) -> Vec<(String, f64)> {
     let n = index.providers().len();
     let mut full: Vec<HashSet<LineId>> = vec![HashSet::new(); n];
     let mut limited: Vec<HashSet<LineId>> = vec![HashSet::new(); n];
-    for (line, ips) in &contacts.per_line {
+    for (line, ips) in contacts {
         if excluded.contains(line) {
             continue;
         }
@@ -113,8 +113,9 @@ pub fn source_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scanners::ContactFold;
     use iotmap_core::{DiscoveryResult, IpEvidence, ProviderDiscovery};
-    use iotmap_netflow::{Direction, FlowRecord, FlowSink};
+    use iotmap_netflow::{Direction, FlowFold, FlowRecord};
     use iotmap_nettypes::{Date, PortProto};
 
     fn index() -> IpIndex {
@@ -143,8 +144,8 @@ mod tests {
         )
     }
 
-    fn feed(sink: &mut ContactSink<'_>, line: u64, ip: &str) {
-        sink.accept(&FlowRecord {
+    fn feed(idx: &IpIndex, contacts: &mut Contacts, line: u64, ip: &str) {
+        let record = FlowRecord {
             time: Date::new(2022, 3, 1).midnight(),
             line: LineId(line),
             remote: ip.parse().unwrap(),
@@ -152,18 +153,19 @@ mod tests {
             direction: Direction::Downstream,
             bytes: 1000,
             packets: 2,
-        });
+        };
+        ContactFold::new(idx).fold(contacts, &record);
     }
 
     #[test]
     fn per_provider_visibility() {
         let idx = index();
-        let mut sink = ContactSink::new(&idx);
-        feed(&mut sink, 1, "10.0.0.1");
-        feed(&mut sink, 1, "10.0.0.2");
-        feed(&mut sink, 2, "10.1.0.1");
-        feed(&mut sink, 2, "2a09::1");
-        let vis = visibility_per_provider(&idx, &sink, &HashSet::new());
+        let mut contacts = Contacts::new();
+        feed(&idx, &mut contacts, 1, "10.0.0.1");
+        feed(&idx, &mut contacts, 1, "10.0.0.2");
+        feed(&idx, &mut contacts, 2, "10.1.0.1");
+        feed(&idx, &mut contacts, 2, "2a09::1");
+        let vis = visibility_per_provider(&idx, &contacts, &HashSet::new());
         let alpha = vis.iter().find(|v| v.provider == "alpha").unwrap();
         assert!((alpha.v4 - 0.5).abs() < 1e-9);
         assert_eq!(alpha.v6, None);
@@ -177,10 +179,10 @@ mod tests {
     #[test]
     fn excluded_lines_do_not_count() {
         let idx = index();
-        let mut sink = ContactSink::new(&idx);
-        feed(&mut sink, 7, "10.0.0.1");
+        let mut contacts = Contacts::new();
+        feed(&idx, &mut contacts, 7, "10.0.0.1");
         let excluded: HashSet<LineId> = [LineId(7)].into_iter().collect();
-        let vis = visibility_per_provider(&idx, &sink, &excluded);
+        let vis = visibility_per_provider(&idx, &contacts, &excluded);
         assert_eq!(vis[0].v4, 0.0);
         assert_eq!(vis[0].lines, 0);
     }
@@ -188,11 +190,11 @@ mod tests {
     #[test]
     fn ablation_measures_line_loss() {
         let idx = index();
-        let mut sink = ContactSink::new(&idx);
+        let mut contacts = Contacts::new();
         // Line 1 contacts an IP that certificates would discover;
         // line 2 contacts one that only DNS finds.
-        feed(&mut sink, 1, "10.0.0.1");
-        feed(&mut sink, 2, "10.0.0.2");
+        feed(&idx, &mut contacts, 1, "10.0.0.1");
+        feed(&idx, &mut contacts, 2, "10.0.0.2");
         let mut restricted = HashMap::new();
         restricted.insert(
             "alpha".to_string(),
@@ -200,12 +202,12 @@ mod tests {
                 .into_iter()
                 .collect::<HashSet<_>>(),
         );
-        let ablation = source_ablation(&idx, &sink, &HashSet::new(), &restricted);
+        let ablation = source_ablation(&idx, &contacts, &HashSet::new(), &restricted);
         let alpha = ablation.iter().find(|(n, _)| n == "alpha").unwrap();
         assert!((alpha.1 - 0.5).abs() < 1e-9, "half the lines lost");
         // Beta has no restricted set: total loss when lines exist.
-        feed(&mut sink, 3, "10.1.0.1");
-        let ablation = source_ablation(&idx, &sink, &HashSet::new(), &restricted);
+        feed(&idx, &mut contacts, 3, "10.1.0.1");
+        let ablation = source_ablation(&idx, &contacts, &HashSet::new(), &restricted);
         let beta = ablation.iter().find(|(n, _)| n == "beta").unwrap();
         assert!((beta.1 - 1.0).abs() < 1e-9);
     }

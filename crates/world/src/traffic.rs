@@ -1,5 +1,5 @@
 //! The ISP traffic simulator: ground-truth flows → border router →
-//! analysis sinks.
+//! analysis folds.
 //!
 //! For every subscriber line, every device generates sessions according to
 //! its provider's traffic profile (diurnal shape, volume, port mix,
@@ -7,8 +7,8 @@
 //! returns that day. Scanner lines probe broad swaths of the backend
 //! address space. Everything passes through the ISP's
 //! [`iotmap_netflow::BorderRouter`] (sampling, BCP 38, anonymization)
-//! before it reaches any sink — the analyses only ever see what the paper's
-//! authors saw.
+//! before it reaches any [`FlowFold`] — the analyses only ever see what the
+//! paper's authors saw.
 
 use crate::build::World;
 use crate::isp::{Device, ScannerKind, SubscriberLine};
@@ -16,7 +16,7 @@ use crate::providers::DomainStyle;
 use crate::server::ServerId;
 use iotmap_dns::{resolve, ResolutionContext, RrType};
 use iotmap_faults::NetflowFaults;
-use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, FlowSink, LineId};
+use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, LineId, StoringSink};
 use iotmap_nettypes::{dist, Continent, Date, DomainName, SimDuration, SimRng, StudyPeriod};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
@@ -24,16 +24,6 @@ use std::net::IpAddr;
 /// Lines per generation block: bounds buffered flows regardless of
 /// population size.
 const BLOCK_LINES: usize = 2048;
-
-/// Adapter collecting routed exports into a block-local buffer so the
-/// streaming fold can shard over them.
-struct BufferSink<'v>(&'v mut Vec<FlowRecord>);
-
-impl FlowSink for BufferSink<'_> {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.0.push(*record);
-    }
-}
 
 /// Summary counters from one simulation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -125,49 +115,21 @@ impl<'a> TrafficSimulator<'a> {
         }
     }
 
-    /// Simulate a period, pushing exported flows into `sink`.
-    pub fn run(&self, period: StudyPeriod, sink: &mut dyn FlowSink) -> TrafficStats {
-        let _span = iotmap_obs::span!("world.traffic_simulation");
-        let world = self.world;
-        let rng = SimRng::new(world.config.seed).fork("traffic");
-        let mut router = BorderRouter::with_faults(
-            world.config.sampling_rate,
-            world.isp.lines.len() as u64 - 1,
-            world.config.seed ^ 0x0150_cafe,
-            rng.fork("router"),
-            self.fault_seed,
-            self.netflow_faults.clone(),
-        );
-        let affected = self.affected_servers(period);
-
-        let mut stats = TrafficStats::default();
-        let flow_span = iotmap_obs::span!("netflow.flow_generation");
-        for block in world.isp.lines.chunks(BLOCK_LINES) {
-            let buffers = self.block_flows(block, period, &affected, &rng);
-            for (flows, line_stats) in buffers {
-                stats.flows_generated += line_stats.flows_generated;
-                stats.device_days += line_stats.device_days;
-                for record in &flows {
-                    router.process(record, sink);
-                }
-            }
-        }
-        drop(flow_span);
-        sink.finish();
-        stats.flows_exported = router.exported;
-        router.flush_metrics();
-        iotmap_obs::count!("netflow.flows_generated", stats.flows_generated);
-        iotmap_obs::count!("world.device_days", stats.device_days);
+    /// Simulate a period, appending the exported flow sequence, in
+    /// order, to `store.records` — for tests and small scales; analyses
+    /// stream through [`TrafficSimulator::run_fold`] instead.
+    pub fn run(&self, period: StudyPeriod, store: &mut StoringSink) -> TrafficStats {
+        let (records, stats) = self.run_fold(period, &*store);
+        store.records.extend(records);
         stats
     }
 
     /// Simulate a period, streaming exported flows through a mergeable
-    /// [`FlowFold`] instead of a serial sink. Peak memory is one block of
-    /// exported records plus the aggregate state — the full flow set is
-    /// never materialized. The fold consumes the exact export sequence of
-    /// [`TrafficSimulator::run`] (per-shard partials merge in shard
-    /// order), so the result is byte-identical to a serial sink pass at
-    /// any thread count.
+    /// [`FlowFold`]. Peak memory is one block of exported records plus
+    /// the aggregate state — the full flow set is never materialized.
+    /// Each block's exports are folded in per-shard partials merged in
+    /// shard order, so the result is byte-identical to folding the whole
+    /// export sequence serially, at any thread count.
     pub fn run_fold<F>(&self, period: StudyPeriod, fold: &F) -> (F::Partial, TrafficStats)
     where
         F: FlowFold + Sync,
@@ -232,12 +194,11 @@ impl<'a> TrafficSimulator<'a> {
                 };
                 let buffers = self.block_flows(block, period, &affected, &rng);
                 exported.clear();
-                let mut buffer_sink = BufferSink(&mut exported);
                 for (flows, line_stats) in buffers {
                     stats.flows_generated += line_stats.flows_generated;
                     stats.device_days += line_stats.device_days;
                     for record in &flows {
-                        router.process(record, &mut buffer_sink);
+                        router.process(record, &mut exported);
                     }
                 }
                 let partial = iotmap_par::shard_fold(
@@ -641,7 +602,6 @@ impl<'a> TrafficSimulator<'a> {
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
-    use iotmap_netflow::StoringSink;
 
     fn world() -> World {
         World::generate(&WorldConfig::small(42))
@@ -651,22 +611,22 @@ mod tests {
     fn week_of_traffic_has_sane_shape() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        let stats = sim.run(w.config.study_period, &mut sink);
+        let mut store = StoringSink::new();
+        let stats = sim.run(w.config.study_period, &mut store);
         assert!(stats.flows_generated > 10_000, "{stats:?}");
-        assert_eq!(stats.flows_exported as usize, sink.records.len());
+        assert_eq!(stats.flows_exported as usize, store.records.len());
 
         // Distinct active lines ≈ 15% of the population (2.32M of 15M in
         // the paper).
         let mut lines: HashSet<LineId> = HashSet::new();
-        for r in &sink.records {
+        for r in &store.records {
             lines.insert(r.line);
         }
         let frac = lines.len() as f64 / w.isp.lines.len() as f64;
         assert!((0.10..0.25).contains(&frac), "active line fraction {frac}");
 
         // All remotes are known servers.
-        for r in sink.records.iter().take(2000) {
+        for r in store.records.iter().take(2000) {
             assert!(w.server_by_ip.contains_key(&r.remote));
         }
     }
@@ -676,9 +636,9 @@ mod tests {
         let w = world();
         let sim = TrafficSimulator::new(&w);
         let run = || {
-            let mut sink = StoringSink::new();
-            sim.run(w.config.study_period, &mut sink);
-            sink.records.len()
+            let mut store = StoringSink::new();
+            sim.run(w.config.study_period, &mut store);
+            store.records.len()
         };
         assert_eq!(run(), run());
     }
@@ -687,15 +647,15 @@ mod tests {
     fn downstream_and_upstream_both_present() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let dn: u64 = sink
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
+        let dn: u64 = store
             .records
             .iter()
             .filter(|r| r.direction == Direction::Downstream)
             .map(|r| r.bytes)
             .sum();
-        let up: u64 = sink
+        let up: u64 = store
             .records
             .iter()
             .filter(|r| r.direction == Direction::Upstream)
@@ -713,8 +673,8 @@ mod tests {
             ..WorldConfig::small(42)
         });
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
         let affected = w.outage_affected_servers();
         let affected_ips: HashSet<IpAddr> = affected.iter().map(|&sid| w.servers[sid].ip).collect();
         let window = w.events.outage.window;
@@ -725,7 +685,7 @@ mod tests {
         let mut out_window = 0.0f64;
         let mut out_hours = 0u32;
         let mut by_hour: HashMap<u64, u64> = HashMap::new();
-        for r in &sink.records {
+        for r in &store.records {
             if r.direction == Direction::Downstream && affected_ips.contains(&r.remote) {
                 *by_hour.entry(r.time.epoch_hours()).or_default() += r.bytes;
             }
@@ -758,10 +718,10 @@ mod tests {
     fn scanners_touch_far_more_servers_than_households() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
         let mut per_line: HashMap<LineId, HashSet<IpAddr>> = HashMap::new();
-        for r in &sink.records {
+        for r in &store.records {
             per_line.entry(r.line).or_default().insert(r.remote);
         }
         let max_contact = per_line.values().map(|s| s.len()).max().unwrap_or(0);
@@ -783,13 +743,13 @@ mod tests {
     fn v6_capable_devices_generate_v6_flows() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let v6_flows = sink.records.iter().filter(|r| r.remote.is_ipv6()).count();
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
+        let v6_flows = store.records.iter().filter(|r| r.remote.is_ipv6()).count();
         assert!(v6_flows > 0, "dual-stack devices must produce AAAA traffic");
         // …but v6 remains a small minority (§5.2: 202k v6 vs 2.32M v4
         // daily lines).
-        let frac = v6_flows as f64 / sink.records.len() as f64;
+        let frac = v6_flows as f64 / store.records.len() as f64;
         assert!(frac < 0.2, "v6 flow share {frac}");
     }
 
@@ -807,10 +767,10 @@ mod tests {
             "population should contain secondary-US devices"
         );
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
         // At least some flows must land on North-American servers.
-        let us_flows = sink
+        let us_flows = store
             .records
             .iter()
             .filter(|r| {
@@ -822,20 +782,6 @@ mod tests {
             })
             .count();
         assert!(us_flows > 0);
-    }
-
-    #[test]
-    fn fold_run_matches_sink_run() {
-        let w = world();
-        let sim = TrafficSimulator::new(&w);
-        let mut sink = iotmap_netflow::CountingSink::default();
-        let sink_stats = sim.run(w.config.study_period, &mut sink);
-        let (totals, fold_stats) =
-            sim.run_fold(w.config.study_period, &iotmap_netflow::CountingFold);
-        assert_eq!(totals.records, sink.records);
-        assert_eq!(fold_stats.flows_generated, sink_stats.flows_generated);
-        assert_eq!(fold_stats.flows_exported, sink_stats.flows_exported);
-        assert_eq!(fold_stats.device_days, sink_stats.device_days);
     }
 
     #[test]
@@ -875,15 +821,15 @@ mod tests {
     fn heavy_bosch_devices_move_big_volumes_on_5671() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let amqp_bytes: u64 = sink
+        let mut store = StoringSink::new();
+        sim.run(w.config.study_period, &mut store);
+        let amqp_bytes: u64 = store
             .records
             .iter()
             .filter(|r| r.port.port == 5671 && r.direction == Direction::Downstream)
             .map(|r| r.bytes)
             .sum();
-        let total: u64 = sink
+        let total: u64 = store
             .records
             .iter()
             .filter(|r| r.direction == Direction::Downstream)

@@ -88,7 +88,7 @@ use iotmap_nettypes::{Error, StudyPeriod};
 use iotmap_scenario::Scenario;
 use iotmap_super::{CheckpointStore, StageArtifact, StagePolicy, Supervisor};
 use iotmap_traffic::{
-    AnalysisFold, AnalysisReport, ContactFold, ContactSink, IpIndex, ScannerAnalysis,
+    AnalysisFold, AnalysisReport, ContactFold, Contacts, IpIndex, ScannerAnalysis,
 };
 use iotmap_world::{CollectedScans, TrafficSimulator, World, WorldConfig};
 use std::collections::{HashMap, HashSet};
@@ -947,16 +947,15 @@ impl RunArtifacts {
     /// First traffic pass: per-line backend contact sets over a period.
     ///
     /// Runs as a streaming fold: per-shard partials merged in shard
-    /// order, byte-identical to the serial sink at any thread count.
-    pub fn contact_pass(&self, period: StudyPeriod) -> ContactSink<'_> {
+    /// order, byte-identical to a serial fold at any thread count.
+    pub fn contact_pass(&self, period: StudyPeriod) -> Contacts {
         let _span = iotmap_obs::span!("traffic.contact_pass");
         let sim = self.simulator();
-        let (per_line, _) = sim.run_fold(period, &ContactFold::new(&self.index));
-        ContactSink::from_parts(&self.index, per_line)
+        sim.run_fold(period, &ContactFold::new(&self.index)).0
     }
 
     /// Scanner exclusion at the paper's threshold.
-    pub fn excluded_lines(&self, contacts: &ContactSink<'_>) -> HashSet<LineId> {
+    pub fn excluded_lines(&self, contacts: &Contacts) -> HashSet<LineId> {
         let _span = iotmap_obs::span!("traffic.scanner_exclusion");
         let analysis = ScannerAnalysis::new(&self.index, contacts);
         let flagged = analysis.flagged_lines(SCANNER_THRESHOLD);

@@ -1,16 +1,17 @@
 //! The 100×-scale tentpole's correctness contract: the interned-ID +
 //! streaming-fold pipeline must stay **byte-identical** — by
 //! `canonical_dump()` — across thread counts and fault plans, and the
-//! traffic passes rebuilt on `FlowFold` must equal the serial sink runs
-//! they replaced.
+//! sharded traffic passes must equal a serial fold of the exported flow
+//! sequence.
 //!
 //! Matrix: small preset × threads {1, 4} × faults {none, heavy}, plus a
 //! `#[ignore]`d paper-preset variant at threads {1, 2, 4, 8} for the
 //! full acceptance sweep.
 
 use iotmap::faults::FaultPlan;
+use iotmap::netflow::{FlowFold, StoringSink};
 use iotmap::prelude::*;
-use iotmap::traffic::{AnalysisSink, ContactSink};
+use iotmap::traffic::{AnalysisFold, ContactFold};
 use iotmap::world::TrafficSimulator;
 
 fn dump(config: &WorldConfig, faults: &FaultPlan, threads: usize) -> Vec<u8> {
@@ -47,25 +48,28 @@ fn traffic_folds_match_the_serial_sinks() {
         artifacts.faults.netflow.clone(),
     );
 
-    // Contact pass: the fold-backed facade pass against a plain serial
-    // sink run over the same simulator.
-    let folded = artifacts.contact_pass(period);
-    let mut serial = ContactSink::new(&artifacts.index);
-    sim.run(period, &mut serial);
+    // The serial reference: the whole exported sequence, in order,
+    // folded into one partial on one thread.
+    let mut store = StoringSink::new();
+    sim.run(period, &mut store);
+    let flows = store.records;
+
+    // Contact pass: the sharded facade pass against the serial fold.
+    let folded = iotmap::par::with_threads(4, || artifacts.contact_pass(period));
+    let serial = ContactFold::new(&artifacts.index).fold_all(&flows);
     assert_eq!(
-        folded.per_line, serial.per_line,
-        "fold-backed contact pass diverges from the serial sink"
+        folded, serial,
+        "sharded contact pass diverges from the serial fold"
     );
 
     // Analysis pass: report equality (AnalysisReport: PartialEq).
     let excluded = artifacts.excluded_lines(&folded);
-    let folded_report = artifacts.analysis_pass(period, &excluded);
-    let mut sink = AnalysisSink::new(&artifacts.index, &excluded, period);
-    sim.run(period, &mut sink);
+    let folded_report = iotmap::par::with_threads(4, || artifacts.analysis_pass(period, &excluded));
+    let fold = AnalysisFold::new(&artifacts.index, &excluded, period);
     assert_eq!(
         folded_report,
-        sink.into_report(),
-        "fold-backed analysis pass diverges from the serial sink"
+        fold.into_report(fold.fold_all(&flows)),
+        "sharded analysis pass diverges from the serial fold"
     );
 }
 

@@ -7,7 +7,7 @@ use iotmap::core::{
 };
 use iotmap::nettypes::StudyPeriod;
 use iotmap::traffic::{
-    AnalysisReport, AnalysisSink, ContactSink, IpIndex, RegionGroup, ScannerAnalysis,
+    AnalysisFold, AnalysisReport, ContactFold, IpIndex, RegionGroup, ScannerAnalysis,
 };
 use iotmap::world::{TrafficSimulator, World, WorldConfig};
 use std::collections::{HashMap, HashSet};
@@ -40,12 +40,11 @@ fn report() -> &'static (World, AnalysisReport) {
         }
         let index = IpIndex::build(&discovery, &footprints, &shared);
         let sim = TrafficSimulator::new(&world);
-        let mut contacts = ContactSink::new(&index);
-        sim.run(period, &mut contacts);
+        let (contacts, _) = sim.run_fold(period, &ContactFold::new(&index));
         let excluded = ScannerAnalysis::new(&index, &contacts).flagged_lines(100);
-        let mut sink = AnalysisSink::new(&index, &excluded, period);
-        sim.run(period, &mut sink);
-        let report = sink.into_report();
+        let fold = AnalysisFold::new(&index, &excluded, period);
+        let (partial, _) = sim.run_fold(period, &fold);
+        let report = fold.into_report(partial);
         (world, report)
     })
 }

@@ -13,7 +13,7 @@
 //!   environment, so these stay gated off by default.
 
 use iotmap::faults::FaultPlan;
-use iotmap::netflow::{FlowRecord, FlowSink};
+use iotmap::netflow::CountingFold;
 use iotmap::prelude::*;
 use iotmap::world::TrafficSimulator;
 use std::collections::BTreeSet;
@@ -95,18 +95,6 @@ fn fault_monotonicity_discovered_ips_nest() {
     );
 }
 
-struct CountingSink {
-    records: u64,
-    bytes: u64,
-}
-
-impl FlowSink for CountingSink {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.records += 1;
-        self.bytes += record.bytes;
-    }
-}
-
 /// NetFlow export loss is monotone in the plan: the same world simulated
 /// under none/light/heavy fault plans exports a non-increasing record
 /// count and byte volume.
@@ -116,12 +104,8 @@ fn fault_monotonicity_traffic_volume_never_increases() {
     let period = artifacts.world.config.study_period;
     let volume = |plan: FaultPlan| {
         let sim = TrafficSimulator::with_faults(&artifacts.world, plan.seed, plan.netflow);
-        let mut sink = CountingSink {
-            records: 0,
-            bytes: 0,
-        };
-        sim.run(period, &mut sink);
-        (sink.records, sink.bytes)
+        let (totals, _) = sim.run_fold(period, &CountingFold);
+        (totals.records, totals.bytes)
     };
     let none = volume(FaultPlan::none());
     let light = volume(FaultPlan::light());

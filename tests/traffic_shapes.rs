@@ -7,8 +7,8 @@ use iotmap::core::{
 use iotmap::netflow::LineId;
 use iotmap::nettypes::PortProto;
 use iotmap::traffic::{
-    source_ablation, visibility_per_provider, AnalysisReport, AnalysisSink, ContactSink, IpIndex,
-    ScannerAnalysis,
+    source_ablation, visibility_per_provider, AnalysisFold, AnalysisReport, ContactFold, Contacts,
+    IpIndex, ScannerAnalysis,
 };
 use iotmap::world::{TrafficSimulator, World, WorldConfig};
 use std::collections::{HashMap, HashSet};
@@ -19,7 +19,7 @@ struct Fixture {
     world: World,
     discovery: iotmap::core::DiscoveryResult,
     index: IpIndex,
-    contacts_per_line: HashMap<LineId, HashSet<IpAddr>>,
+    contacts: Contacts,
     excluded: HashSet<LineId>,
     report: AnalysisReport,
 }
@@ -52,29 +52,20 @@ fn fixture() -> &'static Fixture {
         let index = IpIndex::build(&discovery, &footprints, &shared);
 
         let sim = TrafficSimulator::new(&world);
-        let mut contacts = ContactSink::new(&index);
-        sim.run(period, &mut contacts);
+        let (contacts, _) = sim.run_fold(period, &ContactFold::new(&index));
         let excluded = ScannerAnalysis::new(&index, &contacts).flagged_lines(100);
-        let mut sink = AnalysisSink::new(&index, &excluded, period);
-        sim.run(period, &mut sink);
-        let report = sink.into_report();
-        let contacts_per_line = contacts.per_line.clone();
+        let fold = AnalysisFold::new(&index, &excluded, period);
+        let (partial, _) = sim.run_fold(period, &fold);
+        let report = fold.into_report(partial);
         Fixture {
             world,
             discovery,
             index,
-            contacts_per_line,
+            contacts,
             excluded,
             report,
         }
     })
-}
-
-/// Rebuild a ContactSink-shaped view for the analyses that need it.
-fn contacts(f: &'static Fixture) -> ContactSink<'static> {
-    let mut sink = ContactSink::new(&f.index);
-    sink.per_line = f.contacts_per_line.clone();
-    sink
 }
 
 #[test]
@@ -228,8 +219,7 @@ fn scanner_curve_shape() {
     // Fig. 5: flagged lines fall steeply with the threshold; visibility
     // rises only slowly.
     let f = fixture();
-    let c = contacts(f);
-    let analysis = ScannerAnalysis::new(&f.index, &c);
+    let analysis = ScannerAnalysis::new(&f.index, &f.contacts);
     let curve = analysis.curve(&[10, 100, 1000]);
     assert!(curve[0].lines_excluded >= curve[1].lines_excluded);
     assert!(curve[1].lines_excluded >= curve[2].lines_excluded);
@@ -245,8 +235,7 @@ fn scanner_curve_shape() {
 fn china_only_platforms_invisible_from_europe() {
     // Fig. 6: O3/O5 (Huawei, Baidu) have essentially no EU activity.
     let f = fixture();
-    let c = contacts(f);
-    let vis = visibility_per_provider(&f.index, &c, &f.excluded);
+    let vis = visibility_per_provider(&f.index, &f.contacts, &f.excluded);
     for name in ["baidu", "huawei"] {
         let v = vis.iter().find(|v| v.provider == name).unwrap();
         // At small scale the Chinese platforms have a handful of backends;
@@ -265,7 +254,6 @@ fn tls_only_discovery_loses_sni_providers_lines() {
     // Fig. 7: with certificate-only discovery, SNI-gated platforms lose
     // almost all their lines; cert-friendly ones lose almost none.
     let f = fixture();
-    let c = contacts(f);
     let mut restricted: HashMap<String, HashSet<IpAddr>> = HashMap::new();
     for (name, disc) in f.discovery.per_provider() {
         restricted.insert(
@@ -273,7 +261,7 @@ fn tls_only_discovery_loses_sni_providers_lines() {
             disc.ips_from_sources(&[iotmap::core::Source::Certificate]),
         );
     }
-    let ablation = source_ablation(&f.index, &c, &f.excluded, &restricted);
+    let ablation = source_ablation(&f.index, &f.contacts, &f.excluded, &restricted);
     let loss = |n: &str| ablation.iter().find(|(p, _)| p == n).unwrap().1;
     assert!(loss("google") > 0.85, "google loss {}", loss("google"));
     assert!(loss("sierra") > 0.85, "sierra loss {}", loss("sierra"));
