@@ -108,11 +108,11 @@ fn main() {
     // byte-identical at any value; this only moves wall-clock time.
     iotmap_par::set_threads(opts.threads);
 
-    // The discovery benchmark is its own mode: it times the single-pass
-    // matching engine against the per-provider fan-out reference, writes
-    // BENCH_pipeline.json, and (with --baseline) enforces the regression
-    // gate. It installs its own recorder for the stage breakdown, so it
-    // runs before the shared --trace/--metrics instrumentation.
+    // The discovery benchmark is its own mode: it times prepare, the
+    // matching engine and the replicated ISP pass, writes
+    // BENCH_pipeline.json, and (with --gate) enforces the history gate.
+    // It installs its own recorder for the stage breakdown, so it runs
+    // before the shared --trace/--metrics instrumentation.
     if opts.experiment == "bench" {
         run_bench(&opts, &config, &fault_plan);
         return;
@@ -1374,6 +1374,30 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Extract an unsigned integer field exactly. Identity fields (seed,
+/// thread count, scale, days) go through this, not [`json_f64`]: an
+/// `f64` round-trip merges distinct seeds above 2^53.
+fn json_u64(text: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\"");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Whether a perf-history line was written by `experiment` under the
+/// same preset, seed, thread budget and fault plan as this run. Entries
+/// predating the "experiment" tag are bench lines.
+fn history_matches(line: &str, experiment: &str, opts: &iotmap_bench::CliOptions) -> bool {
+    json_str(line, "experiment").unwrap_or_else(|| "bench".to_string()) == experiment
+        && json_str(line, "preset").as_deref() == Some(opts.preset.as_str())
+        && json_u64(line, "seed") == Some(opts.seed)
+        && json_u64(line, "threads") == Some(opts.threads as u64)
+        && json_str(line, "faults").as_deref() == Some(opts.faults.as_str())
+}
+
 /// Extract a string field from flat `"key": "value"` JSON.
 fn json_str(text: &str, key: &str) -> Option<String> {
     let needle = format!("\"{key}\"");
@@ -1440,14 +1464,13 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Time the discovery pass both ways over one prepared world — the
-/// single-pass matching engine (`run`) against the per-provider fan-out
-/// reference (`run_fanout`) — and write `BENCH_pipeline.json`.
-///
-/// The committed baseline makes the regression gate machine-independent:
-/// CI compares *speedups* (a ratio of two timings on the same machine),
-/// not wall-clock milliseconds, and fails when the current speedup falls
-/// below 75% of the baseline's.
+/// Time prepare, the single-pass discovery engine and the replicated
+/// ISP pass over one prepared world, and write `BENCH_pipeline.json`.
+/// Only library code is timed; the per-provider fan-out reference
+/// (`run_fanout`) is checked against the engine by
+/// `tests/engine_equivalence.rs`, not here. With `--gate`, the history
+/// gate compares prepare, engine and per-stage times against the last
+/// entry from an identical configuration.
 fn run_bench(
     opts: &iotmap_bench::CliOptions,
     config: &WorldConfig,
@@ -1520,23 +1543,6 @@ fn run_bench(
         engine_ms = engine_ms.min(ms);
         engine_ips = r.all_ips().len();
     }
-    let mut fanout_ms = f64::INFINITY;
-    let mut fanout_ips = 0usize;
-    for i in 0..iters {
-        let t = std::time::Instant::now();
-        let r = pipeline.run_fanout(&sources, period);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        eprintln!("# bench: fanout pass {}/{iters}: {ms:.1} ms", i + 1);
-        fanout_ms = fanout_ms.min(ms);
-        fanout_ips = r.all_ips().len();
-    }
-    if engine_ips != fanout_ips {
-        eprintln!(
-            "# bench: engine and fan-out disagree ({engine_ips} vs {fanout_ips} IPs) — \
-             the equivalence tests should have caught this; aborting"
-        );
-        std::process::exit(1);
-    }
 
     // One more instrumented engine pass for the per-stage breakdown and
     // the candidate/verified counters (timed passes run uninstrumented).
@@ -1557,7 +1563,6 @@ fn run_bench(
         .filter(|(k, _)| k.starts_with("discovery."))
         .collect();
 
-    let speedup = fanout_ms / engine_ms;
     // `records_per_sec` derives from ONE documented timing source: the
     // `core.discovery` span of the instrumented engine pass — the span
     // that wraps exactly the record-scanning engine, nothing else. The
@@ -1570,33 +1575,23 @@ fn run_bench(
         .unwrap_or(engine_ms);
     let records_per_sec = records as f64 / (engine_span_ms / 1e3);
 
-    // The --scale phases: out-of-core corpus matching and the
-    // replicated ISP pass. They run at every scale (scale 1 keeps them
-    // cheap and keeps the history rows comparable); the throughput and
-    // RSS acceptance bars bind at scale >= 16.
-    let scaled = run_bench_scaled(&exp, pipeline.registry(), period, opts.scale);
+    // The --scale phase: the replicated ISP pass. It runs at every scale
+    // (scale 1 keeps it cheap and keeps the history rows comparable).
+    let scaled = run_bench_scaled(&exp, period, opts.scale);
     let peak_rss = iotmap_obs::peak_rss_bytes().unwrap_or(0);
     if peak_rss > SCALED_RSS_CEILING_BYTES {
         eprintln!(
             "# bench: REGRESSION — peak RSS {} MiB exceeds the documented {} MiB ceiling \
-             (the out-of-core guarantee is broken)",
+             (the streaming guarantee is broken)",
             peak_rss >> 20,
             SCALED_RSS_CEILING_BYTES >> 20
-        );
-        std::process::exit(1);
-    }
-    if opts.scale >= 16 && scaled.match_records_per_sec < SCALED_MATCH_FLOOR_RPS {
-        eprintln!(
-            "# bench: REGRESSION — scaled match sustained {:.0} records/sec at scale {}, \
-             below the {SCALED_MATCH_FLOOR_RPS:.0} records/sec floor",
-            scaled.match_records_per_sec, opts.scale
         );
         std::process::exit(1);
     }
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"iotmap-bench/pipeline-v3\",\n");
+    json.push_str("  \"schema\": \"iotmap-bench/pipeline-v4\",\n");
     json.push_str(&format!("  \"preset\": \"{}\",\n", opts.preset));
     json.push_str(&format!("  \"seed\": {},\n", config.seed));
     json.push_str(&format!("  \"threads\": {},\n", opts.threads));
@@ -1619,37 +1614,9 @@ fn run_bench(
     json.push_str("  },\n");
     json.push_str(&format!("  \"engine_ms\": {engine_ms:.3},\n"));
     json.push_str(&format!("  \"engine_span_ms\": {engine_span_ms:.3},\n"));
-    json.push_str(&format!("  \"fanout_ms\": {fanout_ms:.3},\n"));
-    json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     json.push_str(&format!("  \"records_per_sec\": {records_per_sec:.0},\n"));
     json.push_str(&format!("  \"peak_rss_bytes\": {peak_rss},\n"));
     json.push_str("  \"scaled\": {\n");
-    json.push_str(&format!(
-        "    \"corpus_records\": {},\n",
-        scaled.corpus_records
-    ));
-    json.push_str(&format!(
-        "    \"corpus_unique_certs\": {},\n",
-        scaled.corpus_unique_certs
-    ));
-    json.push_str(&format!(
-        "    \"corpus_spool_bytes\": {},\n",
-        scaled.corpus_spool_bytes
-    ));
-    json.push_str(&format!("    \"spool_ms\": {:.3},\n", scaled.spool_ms));
-    json.push_str(&format!(
-        "    \"classify_ms\": {:.3},\n",
-        scaled.classify_ms
-    ));
-    json.push_str(&format!("    \"match_ms\": {:.3},\n", scaled.match_ms));
-    json.push_str(&format!(
-        "    \"match_records_per_sec\": {:.0},\n",
-        scaled.match_records_per_sec
-    ));
-    json.push_str(&format!(
-        "    \"matched_records\": {},\n",
-        scaled.matched_records
-    ));
     json.push_str(&format!("    \"isp_replicas\": {},\n", scaled.isp_replicas));
     json.push_str(&format!("    \"isp_lines\": {},\n", scaled.isp_lines));
     json.push_str(&format!("    \"isp_ms\": {:.3},\n", scaled.isp_ms));
@@ -1700,23 +1667,10 @@ fn run_bench(
     println!(
         "  engine span          : {engine_span_ms:9.1} ms  (core.discovery — records/sec source)"
     );
-    println!("  fanout (per-provider): {fanout_ms:9.1} ms");
-    println!("  speedup              : {speedup:.2}x");
     println!("  records/sec          : {records_per_sec:.0}");
     for (name, ms) in &stages {
         println!("    {name:<28} {ms:9.1} ms");
     }
-    println!(
-        "  scaled corpus (x{})   : {} records, {} unique certs, {:.1} MiB spooled",
-        opts.scale,
-        scaled.corpus_records,
-        scaled.corpus_unique_certs,
-        scaled.corpus_spool_bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!(
-        "  scaled match         : {:9.1} ms  ({:.0} records/sec, {} matched)",
-        scaled.match_ms, scaled.match_records_per_sec, scaled.matched_records
-    );
     println!(
         "  scaled ISP pass      : {:9.1} ms  ({} replicas, {} lines, 1 day)",
         scaled.isp_ms, scaled.isp_replicas, scaled.isp_lines
@@ -1749,18 +1703,12 @@ fn run_bench(
         });
     let previous = std::fs::read_to_string(&history_path).unwrap_or_default();
     let comparable = previous.lines().rev().find(|line| {
-        // Longitudinal runs append to the same history file under an
-        // explicit "experiment" tag; untagged entries are bench lines.
-        json_str(line, "experiment").unwrap_or_else(|| "bench".to_string()) == "bench"
-            && json_str(line, "preset").as_deref() == Some(opts.preset.as_str())
-            && json_f64(line, "seed") == Some(config.seed as f64)
-            && json_f64(line, "threads") == Some(opts.threads as f64)
-            && json_str(line, "faults").as_deref() == Some(opts.faults.as_str())
+        history_matches(line, "bench", opts)
             // Entries predating the world cache carry no tag — they were
             // cache-less runs, so they compare against "none" only.
             && json_str(line, "cache").unwrap_or_else(|| "none".to_string()) == cache_tag
-            // Entries predating the scaled phases ran at native size.
-            && json_f64(line, "scale").unwrap_or(1.0) == opts.scale as f64
+            // Entries predating the scaled phase ran at native size.
+            && json_u64(line, "scale").unwrap_or(1) == opts.scale
     });
 
     let unix_time = std::time::SystemTime::now()
@@ -1781,9 +1729,8 @@ fn run_bench(
          \"records\":{records},\"discovered_ips\":{engine_ips},\
          \"prepare_ms\":{prepare_ms:.1},\"engine_ms\":{engine_ms:.3},\
          \"engine_span_ms\":{engine_span_ms:.3},\
-         \"fanout_ms\":{fanout_ms:.3},\"speedup\":{speedup:.3},\
          \"records_per_sec\":{records_per_sec:.0},\
-         \"scaled_match_records_per_sec\":{:.0},\"scaled_isp_ms\":{:.3},\
+         \"scaled_isp_ms\":{:.3},\
          \"peak_rss_bytes\":{peak_rss},\
          \"prepare_stages_ms\":{{{}}},\"stages_ms\":{{{}}}}}\n",
         git_rev(),
@@ -1792,7 +1739,6 @@ fn run_bench(
         opts.threads,
         opts.faults,
         opts.scale,
-        scaled.match_records_per_sec,
         scaled.isp_ms,
         fmt_map(&prepare_stages),
         fmt_map(&stages),
@@ -1860,171 +1806,28 @@ fn run_bench(
             }
         }
     }
-
-    if let Some(bl) = &opts.baseline {
-        let base = std::fs::read_to_string(bl)
-            .ok()
-            .and_then(|t| json_f64(&t, "speedup"));
-        match base {
-            Some(base_speedup) => {
-                let floor = base_speedup * 0.75;
-                if speedup < floor {
-                    eprintln!(
-                        "# bench: REGRESSION — speedup {speedup:.2}x is below 75% of the \
-                         baseline's {base_speedup:.2}x (floor {floor:.2}x)"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "  baseline gate        : ok ({speedup:.2}x vs baseline {base_speedup:.2}x, \
-                     floor {floor:.2}x)"
-                );
-            }
-            None => {
-                eprintln!("# --baseline {bl:?}: unreadable or missing a \"speedup\" field");
-                std::process::exit(2);
-            }
-        }
-    }
 }
 
-/// Documented peak-RSS ceiling for a bench run, scaled phases included:
-/// the corpus streams from its spool batch by batch and the replicated
-/// ISP pass folds flows block by block, so even at `--scale 16`
-/// (≥2M subscriber lines, ≥16× corpus) the process must stay under
+/// Documented peak-RSS ceiling for a bench run, scaled phase included:
+/// the replicated ISP pass folds flows block by block, so even at
+/// `--scale 16` (≥2M subscriber lines) the process must stay under
 /// this. DESIGN.md ("Scale model") documents the bound.
 const SCALED_RSS_CEILING_BYTES: u64 = 6 * 1024 * 1024 * 1024;
 
-/// Minimum sustained streamed-match throughput at `--scale >= 16`.
-const SCALED_MATCH_FLOOR_RPS: f64 = 10_000_000.0;
-
-/// What the two `--scale` phases measured, for BENCH_pipeline.json.
+/// What the `--scale` phase measured, for BENCH_pipeline.json.
 struct ScaledBench {
-    corpus_records: u64,
-    corpus_unique_certs: usize,
-    corpus_spool_bytes: u64,
-    spool_ms: f64,
-    classify_ms: f64,
-    match_ms: f64,
-    match_records_per_sec: f64,
-    matched_records: u64,
     isp_replicas: u64,
     isp_lines: u64,
     isp_ms: f64,
     isp_total_dn_bytes: u64,
 }
 
-/// A scaled phase hit an I/O or corpus error — exit 1 like any other
-/// stage failure.
-fn die_scaled(e: String) -> ! {
-    eprintln!("# bench: scaled phase failed: {e}");
-    std::process::exit(1);
-}
-
-/// The `--scale N` phases over one prepared experiment.
-///
-/// **Out-of-core match**: replicate the largest Censys snapshot `scale`×
-/// into a length-prefixed spool ([`iotmap_scan::ScaledCorpus`]), classify
-/// the unique certificate pool *once* with the single-pass engine, then
-/// stream the spooled records back, resolving each against the per-cert
-/// provider mask. That is how a 100× corpus must be processed to stay in
-/// RSS: the cert work amortizes over the pool, the per-record work is a
-/// mask lookup, and the corpus itself never materializes.
-///
-/// **Replicated ISP pass**: the §5 analysis fold over a replicated
-/// subscriber population (replica `r` shifts line ids by `r × n`) for
-/// one day, streamed block by block. At `scale >= 16` the replica count
-/// is raised to cover at least 2M subscriber lines — the acceptance bar
-/// for the scaled run.
-fn run_bench_scaled(
-    exp: &Experiment,
-    registry: &PatternRegistry,
-    period: StudyPeriod,
-    scale: u64,
-) -> ScaledBench {
-    use iotmap_scan::ScaledCorpus;
-
-    let base = exp
-        .scans
-        .censys
-        .iter()
-        .max_by_key(|s| s.records.len())
-        .unwrap_or_else(|| die_scaled("no censys snapshots to replicate".into()));
-    let spool_path = std::env::temp_dir().join(format!(
-        "iotmap-bench-corpus-{}-x{scale}.spool",
-        std::process::id()
-    ));
-    eprintln!(
-        "# bench: spooling scaled corpus ({} records × {scale})…",
-        base.records.len()
-    );
-    let t = std::time::Instant::now();
-    let corpus = ScaledCorpus::replicate(base, scale, &spool_path, 64 * 1024)
-        .unwrap_or_else(|e| die_scaled(e));
-    let spool_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Classify the unique cert pool once. The index skips certs invalid
-    // over the study period (exactly like the discovery harvest), so
-    // verification is a pure regex walk.
-    let t = std::time::Instant::now();
-    let mut cert_index = iotmap_nettypes::SuffixIndex::new();
-    let mut buf = String::new();
-    for (row, cert) in corpus.certs().iter().enumerate() {
-        if cert.valid_during(&period) {
-            cert.for_each_name(&mut buf, |name| cert_index.insert(name, row as u32));
-        }
-    }
-    let engine = iotmap_core::MatchEngine::sans(registry);
-    let providers = registry.providers();
-    let mut vbuf = String::new();
-    let table = engine.classify(
-        &cert_index,
-        corpus.certs().len(),
-        |p, row| {
-            let mut hit = false;
-            corpus.certs()[row as usize]
-                .for_each_name(&mut vbuf, |name| hit |= providers[p].matches_san(name));
-            hit
-        },
-        |row, f| {
-            let cert = &corpus.certs()[row as usize];
-            if cert.valid_during(&period) {
-                cert.for_each_name(&mut buf, |name| f(name));
-            }
-        },
-    );
-    let mask: Vec<bool> = (0..corpus.certs().len()).map(|r| table.any(r)).collect();
-    let classify_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // The timed phase: stream every spooled record through the mask.
-    let t = std::time::Instant::now();
-    let mut matched = 0u64;
-    let mut streamed = 0u64;
-    let mut reader = corpus.stream().unwrap_or_else(|e| die_scaled(e));
-    loop {
-        match reader.next_batch() {
-            Ok(Some(batch)) => {
-                for record in batch {
-                    matched += mask[record.cert as usize] as u64;
-                }
-                streamed += batch.len() as u64;
-            }
-            Ok(None) => break,
-            Err(e) => die_scaled(e),
-        }
-    }
-    let match_ms = t.elapsed().as_secs_f64() * 1e3;
-    let match_records_per_sec = streamed as f64 / (match_ms / 1e3);
-    let (corpus_records, corpus_spool_bytes, corpus_unique_certs) =
-        (corpus.records(), corpus.spool_bytes(), corpus.certs().len());
-    corpus.remove();
-    if streamed != corpus_records {
-        die_scaled(format!(
-            "corpus streamed {streamed} of {corpus_records} records"
-        ));
-    }
-
-    // The replicated ISP pass, over one day of the study period.
+/// The `--scale N` phase over one prepared experiment: the §5 analysis
+/// fold over a replicated subscriber population (replica `r` shifts
+/// line ids by `r × n`) for one day, streamed block by block. At
+/// `scale >= 16` the replica count is raised to cover at least 2M
+/// subscriber lines — the acceptance bar for the scaled run.
+fn run_bench_scaled(exp: &Experiment, period: StudyPeriod, scale: u64) -> ScaledBench {
     let lines = exp.world.isp.lines.len() as u64;
     let isp_replicas = if scale >= 16 {
         scale.max(2_000_000u64.div_ceil(lines))
@@ -2052,14 +1855,6 @@ fn run_bench_scaled(
         .sum();
 
     ScaledBench {
-        corpus_records,
-        corpus_unique_certs,
-        corpus_spool_bytes,
-        spool_ms,
-        classify_ms,
-        match_ms,
-        match_records_per_sec,
-        matched_records: matched,
         isp_replicas,
         isp_lines: isp_replicas * lines,
         isp_ms,
@@ -2521,12 +2316,8 @@ fn run_longitudinal(
         });
     let previous = std::fs::read_to_string(&history_path).unwrap_or_default();
     let comparable = previous.lines().rev().find(|line| {
-        json_str(line, "experiment").as_deref() == Some("longitudinal")
-            && json_str(line, "preset").as_deref() == Some(opts.preset.as_str())
-            && json_f64(line, "seed") == Some(config.seed as f64)
-            && json_f64(line, "threads") == Some(opts.threads as f64)
-            && json_str(line, "faults").as_deref() == Some(opts.faults.as_str())
-            && json_f64(line, "days") == Some(opts.days as f64)
+        history_matches(line, "longitudinal", opts)
+            && json_u64(line, "days") == Some(opts.days as u64)
     });
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -2918,5 +2709,42 @@ mod tests {
             fold.merge(&mut left, fold.fold_all(b));
             assert_eq!(left, serial, "split at {split}");
         }
+    }
+
+    /// Seeds above 2^53 are distinct history keys: 2^53 + 1 rounds to
+    /// 2^53 as an `f64`, so the match must compare them as integers.
+    #[test]
+    fn history_matches_seeds_above_2_pow_53_exactly() {
+        let opts = iotmap_bench::CliOptions::parse(
+            [
+                "exp",
+                "bench",
+                "--seed",
+                "9007199254740993",
+                "--threads",
+                "1",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let line = |seed: u64| {
+            format!(
+                "{{\"schema\":\"iotmap-bench/history-v1\",\"preset\":\"paper\",\
+                 \"seed\":{seed},\"threads\":1,\"faults\":\"none\"}}"
+            )
+        };
+        assert_eq!(
+            json_f64(&line(9007199254740992), "seed"),
+            json_f64(&line(9007199254740993), "seed"),
+            "the two seeds must collide as f64 for this test to mean anything"
+        );
+        assert!(history_matches(&line(9007199254740993), "bench", &opts));
+        assert!(!history_matches(&line(9007199254740992), "bench", &opts));
+        assert!(!history_matches(
+            &line(9007199254740993),
+            "longitudinal",
+            &opts
+        ));
     }
 }

@@ -5,8 +5,7 @@
 //! behind [`iotmap::Pipeline`]; this crate wraps its [`RunArtifacts`] with
 //! the experiment-only extras (anonymized labels) and the tiny
 //! dependency-free CLI parser. See `src/bin/exp.rs` for the experiment
-//! entry point and `benches/` for the Criterion micro-benchmarks (off by
-//! default behind the `bench-deps` feature).
+//! entry point.
 
 pub use iotmap::{Pipeline, RunArtifacts, SCANNER_THRESHOLD};
 
@@ -137,10 +136,9 @@ pub struct CliOptions {
     /// For `longitudinal`: how many days to roll the run forward
     /// (`--days N`, default 7).
     pub days: usize,
-    /// For `bench`: population multiplier for the scaled phases
-    /// (`--scale N`, default 1). Drives the out-of-core corpus
-    /// replication and the replicated ISP run; `1` keeps the bench at
-    /// the world's native size.
+    /// For `bench`: population multiplier for the scaled phase
+    /// (`--scale N`, default 1). Drives the replicated ISP run; `1`
+    /// keeps the bench at the world's native size.
     pub scale: u64,
     /// Perf-history file override (`--history FILE`); defaults to
     /// `BENCH_history.jsonl` under `--out` (or the working directory).
@@ -152,9 +150,6 @@ pub struct CliOptions {
     /// Fault plan selector (`--faults none|light|heavy|FILE`); a file is
     /// parsed with [`FaultPlan::parse_config`].
     pub faults: String,
-    /// Baseline `BENCH_pipeline.json` to compare against
-    /// (`--baseline FILE`, only meaningful for the `bench` experiment).
-    pub baseline: Option<String>,
     /// Checkpoint each completed pipeline stage into this run directory
     /// (`--checkpoints DIR`).
     pub checkpoints: Option<String>,
@@ -197,7 +192,6 @@ impl CliOptions {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or(1usize);
         let mut faults = "none".to_string();
-        let mut baseline = None;
         let mut checkpoints = None;
         let mut resume = None;
         let mut cache = std::env::var("IOTMAP_CACHE")
@@ -282,10 +276,6 @@ impl CliOptions {
                 "--faults" => {
                     faults = it.next().ok_or("--faults needs a value")?;
                 }
-                "--baseline" => {
-                    baseline = Some(it.next().ok_or("--baseline needs a file path")?);
-                    mode_flags.push("--baseline");
-                }
                 "--checkpoints" => {
                     checkpoints = Some(it.next().ok_or("--checkpoints needs a directory")?);
                 }
@@ -316,7 +306,6 @@ impl CliOptions {
         for flag in mode_flags {
             let allowed: &[&str] = match flag {
                 "--gate" | "--history" => &["bench", "longitudinal"],
-                "--baseline" => &["bench"],
                 "--top" | "--smoke" => &["profile"],
                 "--days" => &["longitudinal"],
                 "--scale" => &["bench"],
@@ -348,7 +337,6 @@ impl CliOptions {
             history,
             threads,
             faults,
-            baseline,
             checkpoints,
             resume,
             cache,
@@ -387,10 +375,9 @@ impl CliOptions {
 fn usage() -> String {
     "usage: exp <experiment|all> [--seed N] [--preset small|medium|paper] [--out DIR]\n\
      \x20          [--trace] [--metrics FILE] [--trace-out FILE] [--threads N]\n\
-     \x20          [--faults none|light|heavy|FILE] [--baseline BENCH_pipeline.json]\n\
-     \x20          [--checkpoints DIR] [--resume DIR] [--cache DIR] [--history FILE]\n\
-     \x20          [--gate] [--top N] [--smoke] [--days N] [--scale N]\n\
-     \x20          [--file SCENARIO.scn] [--matrix DIR]\n\
+     \x20          [--faults none|light|heavy|FILE] [--checkpoints DIR] [--resume DIR]\n\
+     \x20          [--cache DIR] [--history FILE] [--gate] [--top N] [--smoke] [--days N]\n\
+     \x20          [--scale N] [--file SCENARIO.scn] [--matrix DIR]\n\
      experiments: table1 fig3 fig4 fig5..fig16 vantage validation shared \
      diversity ports-observed consistency sec62-bgp sec62-blocklist \
      outage-deps cascade monitor ablation-coverage ablation-hitlist robustness \
@@ -589,8 +576,6 @@ mod tests {
             &["exp", "bench", "--smoke"],
             &["exp", "table1", "--gate"],
             &["exp", "profile", "--gate"],
-            &["exp", "profile", "--baseline", "b.json"],
-            &["exp", "longitudinal", "--baseline", "b.json"],
             &["exp", "table1", "--history", "h.jsonl"],
             &["exp", "table1", "--scale", "4"],
             &["exp", "profile", "--scale", "4"],

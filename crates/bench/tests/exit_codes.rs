@@ -46,6 +46,14 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("scale"));
 
+    // The retired speedup-gate flag fails like any unknown argument.
+    let out = exp()
+        .args(["bench", "--baseline", "x.json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+
     // `--file` and `--matrix` are scenario-only.
     let out = exp().args(["table1", "--file", "x.scn"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -21,8 +21,9 @@
 //!
 //! [`DiscoveryPipeline::run_fanout`] keeps the original per-provider
 //! fan-out (sixteen full scans, one worker per provider) as the reference
-//! implementation: the differential tests pin the engine's output to it
-//! byte-for-byte, and `exp bench` measures one against the other.
+//! implementation: the differential tests (`tests/engine_equivalence.rs`)
+//! pin the engine's output to it byte-for-byte. It is a test oracle, not
+//! a production path, so no benchmark times it.
 
 use crate::matcher::MatchEngine;
 use crate::patterns::PatternRegistry;
@@ -513,8 +514,7 @@ impl DiscoveryPipeline {
     /// Run all four instruments with the original per-provider fan-out
     /// (sixteen full scans over every corpus). Kept as the reference
     /// implementation: [`DiscoveryPipeline::run`] must produce the exact
-    /// same [`DiscoveryResult`], and `exp bench` times the two against
-    /// each other.
+    /// same [`DiscoveryResult`] (`tests/engine_equivalence.rs`).
     pub fn run_fanout(&self, sources: &DataSources<'_>, period: StudyPeriod) -> DiscoveryResult {
         let _span = iotmap_obs::span!("core.discovery.fanout");
         let mut result = self.empty_result();

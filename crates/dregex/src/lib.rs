@@ -197,6 +197,7 @@ impl PatternSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotmap_nettypes::SimRng;
 
     fn m(pat: &str, input: &str) -> bool {
         Regex::new(pat).unwrap().is_match(input)
@@ -335,34 +336,60 @@ mod tests {
         assert!(!re.is_match(&input));
         assert!(re.is_match(&format!("{input}b")));
     }
-}
 
-#[cfg(all(test, feature = "heavy-tests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
+    /// Inputs per randomized property; case `c` draws from `SimRng::new(c)`.
+    const CASES: u64 = 256;
 
-    proptest! {
-        /// The parser returns Ok/Err but never panics, and anything that
-        /// compiles can be executed against arbitrary inputs.
-        #[test]
-        fn parse_and_match_never_panic(pattern in "[a-z0-9.+*?()\\[\\]|^$\\\\{},:-]{0,24}", input in "[a-z0-9.-]{0,32}") {
-            if let Ok(re) = Regex::new(&pattern) {
-                let _ = re.is_match(&input);
-                let _ = re.is_full_match(&input);
-                let _ = re.find(&input);
-            }
-        }
+    /// A string of `0..=max` bytes drawn from `alphabet`.
+    fn random_string(rng: &mut SimRng, alphabet: &[u8], max: u64) -> String {
+        let len = rng.gen_below(max + 1);
+        (0..len).map(|_| *rng.choose(alphabet) as char).collect()
+    }
 
-        /// A full match implies a search match; a find implies a search hit.
-        #[test]
-        fn match_relations(input in "[a-z0-9.-]{0,32}") {
-            for pattern in ["[a-z]+", r"^[a-z0-9]+\.", "a.*z", "x|y|z"] {
-                let re = Regex::new(pattern).unwrap();
-                if re.is_full_match(&input) {
-                    prop_assert!(re.is_match(&input), "{pattern} vs {input:?}");
+    const INPUT_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789.-";
+
+    /// The parser returns Ok/Err but never panics, and anything that
+    /// compiles can be executed against arbitrary inputs.
+    #[test]
+    fn parse_and_match_never_panic() {
+        const PATTERN_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789.+*?()[]|^$\\{},:-";
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let pattern = random_string(&mut rng, PATTERN_CHARS, 24);
+            let input = random_string(&mut rng, INPUT_CHARS, 32);
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(re) = Regex::new(&pattern) {
+                    let _ = re.is_match(&input);
+                    let _ = re.is_full_match(&input);
+                    let _ = re.find(&input);
                 }
-                prop_assert_eq!(re.find(&input).is_some(), re.is_match(&input));
+            });
+            assert!(
+                outcome.is_ok(),
+                "seed {seed}: panicked on pattern {pattern:?} / input {input:?}"
+            );
+        }
+    }
+
+    /// A full match implies a search match; a find implies a search hit.
+    #[test]
+    fn match_relations() {
+        let compiled: Vec<_> = ["[a-z]+", r"^[a-z0-9]+\.", "a.*z", "x|y|z"]
+            .iter()
+            .map(|p| (p, Regex::new(p).unwrap()))
+            .collect();
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let input = random_string(&mut rng, INPUT_CHARS, 32);
+            for (pattern, re) in &compiled {
+                if re.is_full_match(&input) {
+                    assert!(re.is_match(&input), "seed {seed}: {pattern} vs {input:?}");
+                }
+                assert_eq!(
+                    re.find(&input).is_some(),
+                    re.is_match(&input),
+                    "seed {seed}: {pattern} vs {input:?}"
+                );
             }
         }
     }

@@ -411,7 +411,8 @@ mod tests {
     #[test]
     fn parser_never_panics_on_arbitrary_input() {
         // A grab-bag of hostile inputs; the parser must return Ok or Err,
-        // never panic. (The proptest in tests/ widens this further.)
+        // never panic. (`parse_and_match_never_panic` in lib.rs widens this
+        // to random patterns.)
         for input in [
             "(((((",
             ")))))",

@@ -233,38 +233,48 @@ mod tests {
             assert_eq!(z.sample(&mut r), 0);
         }
     }
-}
 
-#[cfg(all(test, feature = "heavy-tests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
+    /// Inputs per randomized property; case `c` draws from `SimRng::new(c)`.
+    const CASES: u64 = 256;
 
-    proptest! {
-        /// Samplers stay within their mathematical supports for arbitrary
-        /// seeds and parameters.
-        #[test]
-        fn supports_hold(seed: u64, median in 1.0f64..1e9, sigma in 0.01f64..3.0, alpha in 0.2f64..5.0) {
+    /// Samplers stay within their mathematical supports for arbitrary
+    /// seeds and parameters.
+    #[test]
+    fn supports_hold() {
+        for case in 0..CASES {
+            let mut params = SimRng::new(case);
+            let seed = params.next_u64();
+            let median = params.f64_range(1.0, 1e9);
+            let sigma = params.f64_range(0.01, 3.0);
+            let alpha = params.f64_range(0.2, 5.0);
+            let ctx =
+                format!("case {case}: seed={seed} median={median} sigma={sigma} alpha={alpha}");
             let mut rng = SimRng::new(seed);
             for _ in 0..64 {
-                prop_assert!(log_normal_median(&mut rng, median, sigma) > 0.0);
-                prop_assert!(exponential(&mut rng, 1.0 / median) >= 0.0);
-                prop_assert!(pareto(&mut rng, median, alpha) >= median);
+                assert!(log_normal_median(&mut rng, median, sigma) > 0.0, "{ctx}");
+                assert!(exponential(&mut rng, 1.0 / median) >= 0.0, "{ctx}");
+                assert!(pareto(&mut rng, median, alpha) >= median, "{ctx}");
             }
         }
+    }
 
-        /// Zipf samples are valid ranks and rank-0 dominates for s >= 1.
-        #[test]
-        fn zipf_valid(seed: u64, n in 2usize..64) {
+    /// Zipf samples are valid ranks and rank-0 dominates for s >= 1.
+    #[test]
+    fn zipf_valid() {
+        for case in 0..CASES {
+            let mut params = SimRng::new(case);
+            let seed = params.next_u64();
+            let n = params.gen_range(2, 64) as usize;
+            let ctx = format!("case {case}: seed={seed} n={n}");
             let z = Zipf::new(n, 1.2);
             let mut rng = SimRng::new(seed);
             let mut counts = vec![0u32; n];
             for _ in 0..512 {
                 let k = z.sample(&mut rng);
-                prop_assert!(k < n);
+                assert!(k < n, "{ctx}: rank {k}");
                 counts[k] += 1;
             }
-            prop_assert!(counts[0] >= counts[n - 1]);
+            assert!(counts[0] >= counts[n - 1], "{ctx}: counts={counts:?}");
         }
     }
 }

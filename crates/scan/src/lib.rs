@@ -21,7 +21,6 @@
 //! fallback in §4.2.
 
 pub mod censys;
-pub mod corpus;
 pub mod ethics;
 pub mod hitlist;
 pub mod lookingglass;
@@ -29,7 +28,6 @@ pub mod target;
 pub mod zgrab;
 
 pub use censys::{CensysRecord, CensysService, CensysSnapshot};
-pub use corpus::{CorpusReader, CorpusRecord, ScaledCorpus};
 pub use ethics::ProbePolicy;
 pub use hitlist::Ipv6Hitlist;
 pub use lookingglass::{estimate_location, LatencyProber, LookingGlassSite};

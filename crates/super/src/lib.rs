@@ -42,11 +42,9 @@
 
 mod checkpoint;
 pub mod codec;
-pub mod spool;
 
 pub use checkpoint::{CheckpointStore, CkptError, KIND_BYTES, KIND_WITNESS, MAGIC};
 pub use codec::{fnv1a, ByteReader, ByteWriter};
-pub use spool::{Spool, SpoolReader, SpoolWriter, SPOOL_MAGIC};
 
 use iotmap_faults::{crash, key2, CrashFaults};
 use iotmap_nettypes::Error;

@@ -32,10 +32,8 @@ echo "==> crash recovery (exp crash-recovery --preset small)"
 cargo run --release -q -p iotmap-bench --bin exp -- \
   crash-recovery --preset small --seed 42 >/dev/null
 
-# The CI bench-smoke gate, condensed: the single-pass matching engine
-# must hold its speedup over the fan-out reference (≥75% of the
-# committed small-preset baseline; ratios, so machine-independent).
-# --gate also exercises the perf-history regression path against a
+# The CI bench-smoke gate, condensed: --gate exercises the perf-history
+# regression path (prepare, engine and per-stage times) against a
 # scratch history file. Run twice against one cache directory — the
 # first run is cold and populates it, the second exercises the warm
 # memoized-prepare path (both append history; the cache tag separates
@@ -44,15 +42,15 @@ echo "==> bench smoke (exp bench --preset small, cold + warm cache)"
 tmp_bench="$(mktemp -d)"
 cargo run --release -q -p iotmap-bench --bin exp -- \
   bench --preset small --seed 42 --threads 1 --cache "$tmp_bench/cache" \
-  --out "$tmp_bench" --baseline scripts/bench-baseline-small.json --gate >/dev/null
+  --out "$tmp_bench" --gate >/dev/null
 cargo run --release -q -p iotmap-bench --bin exp -- \
   bench --preset small --seed 42 --threads 1 --cache "$tmp_bench/cache" \
-  --out "$tmp_bench" --baseline scripts/bench-baseline-small.json --gate >/dev/null
+  --out "$tmp_bench" --gate >/dev/null
 
-# The CI scale-smoke gate, condensed: the --scale phases must spool the
-# replicated corpus out of core and stream the replicated ISP pass —
-# the binary itself enforces the documented peak-RSS ceiling and the
-# history gate; the grep re-asserts that a real (non-zero) RSS reading
+# The CI scale-smoke gate, condensed: the --scale phase must stream the
+# replicated ISP pass block by block — the binary itself enforces the
+# documented peak-RSS ceiling and the history gate; the greps re-assert
+# that a real (non-zero) RSS reading and the replicated ISP lines
 # landed in the report.
 echo "==> scale smoke (exp bench --preset small --scale 4 --gate)"
 cargo run --release -q -p iotmap-bench --bin exp -- \
@@ -60,6 +58,9 @@ cargo run --release -q -p iotmap-bench --bin exp -- \
   --out "$tmp_bench" --history "$tmp_bench/scale_history.jsonl" --gate >/dev/null
 grep -q '"peak_rss_bytes": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
   || { echo "peak_rss_bytes missing from BENCH_pipeline.json"; exit 1; }
+grep -q '"isp_replicas": 4,' "$tmp_bench/BENCH_pipeline.json" \
+  && grep -q '"isp_lines": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
+  || { echo "scaled.isp_* missing from BENCH_pipeline.json"; exit 1; }
 
 # The profiler's smoke path: the full prepare pipeline instrumented, the
 # trace exported as Chrome Trace Event JSON, and the report printed —

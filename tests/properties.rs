@@ -8,9 +8,10 @@
 //!   not having the fault layer at all, and heavier plans only ever
 //!   *remove* observations (discovered IPs, exported traffic), never
 //!   add them.
-//! * **Randomized structure properties** (`heavy-tests` feature): the
-//!   `proptest` dev-dependency cannot be fetched in the offline tier-1
-//!   environment, so these stay gated off by default.
+//! * **Randomized structure properties** (always on, std-only):
+//!   prefixes, the LPM trie, interval sets, ECDFs, the two regex
+//!   engines, domain names, civil dates and RNG forks, each checked over
+//!   a fixed number of `SimRng`-seeded cases.
 
 use iotmap::faults::FaultPlan;
 use iotmap::netflow::CountingFold;
@@ -192,7 +193,7 @@ fn random_hostnames(seed: u64, registry: &PatternRegistry, count: usize) -> Vec<
 /// regex over every name — on randomized hostnames. This pins both
 /// halves of the engine: the suffix index may never *drop* a true match
 /// (completeness) and verification may never *admit* a lookalike
-/// (soundness). Std-only and always on, unlike the proptest tier below.
+/// (soundness). Std-only and always on.
 #[test]
 fn match_engine_agrees_with_backtracking_oracle() {
     use iotmap::core::MatchEngine;
@@ -355,160 +356,241 @@ fn composing_day_deltas_equals_the_merged_span() {
     assert_eq!(merged.snapshots.len(), 3);
 }
 
-#[cfg(feature = "heavy-tests")]
-mod proptests {
-    use iotmap::dregex::{backtrack::BacktrackRegex, Regex};
-    use iotmap::nettypes::interval::IntervalSet;
-    use iotmap::nettypes::{Date, DomainName, Ipv4Prefix, PrefixMap, SimTime};
-    use iotmap::stats::Ecdf;
-    use proptest::prelude::*;
-    use std::collections::BTreeSet;
+// ---------------------------------------------------------------------
+// Randomized structure properties. Each runs `CASES` inputs, case `c`
+// drawn from `SimRng::new(c)`, so a failure names its seed and input
+// and reruns identically.
+
+/// Inputs per randomized structure property.
+const CASES: u64 = 256;
+
+/// A string of `lo..=hi` bytes drawn from `alphabet`.
+fn random_string(rng: &mut SimRng, alphabet: &[u8], lo: u64, hi: u64) -> String {
+    let len = rng.gen_range(lo, hi + 1);
+    (0..len).map(|_| *rng.choose(alphabet) as char).collect()
+}
+
+const HOST_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789.-";
+
+/// Prefix parse/display roundtrip and containment bounds.
+#[test]
+fn prefix_roundtrip_and_bounds() {
+    use iotmap::nettypes::Ipv4Prefix;
     use std::net::Ipv4Addr;
 
-    proptest! {
-        /// Prefix parse/display roundtrip and containment bounds.
-        #[test]
-        fn prefix_roundtrip_and_bounds(addr: u32, len in 0u8..=32) {
-            let p = Ipv4Prefix::new(Ipv4Addr::from(addr), len);
-            let reparsed: Ipv4Prefix = p.to_string().parse().unwrap();
-            prop_assert_eq!(p, reparsed);
-            prop_assert!(p.contains(p.first()));
-            prop_assert!(p.contains(p.last()));
-            prop_assert!(p.contains(Ipv4Addr::from(addr)));
-            // One past the end is outside (when representable).
-            if let Some(next) = u32::from(p.last()).checked_add(1) {
-                prop_assert!(!p.contains(Ipv4Addr::from(next)));
-            }
-            prop_assert_eq!(u64::from(u32::from(p.last()) - u32::from(p.first())) + 1, p.size());
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let addr = rng.next_u32();
+        let len = rng.gen_below(33) as u8;
+        let ctx = format!("seed {seed}: addr={addr} len={len}");
+        let p = Ipv4Prefix::new(Ipv4Addr::from(addr), len);
+        let reparsed: Ipv4Prefix = p.to_string().parse().unwrap();
+        assert_eq!(p, reparsed, "{ctx}");
+        assert!(p.contains(p.first()), "{ctx}");
+        assert!(p.contains(p.last()), "{ctx}");
+        assert!(p.contains(Ipv4Addr::from(addr)), "{ctx}");
+        // One past the end is outside (when representable).
+        if let Some(next) = u32::from(p.last()).checked_add(1) {
+            assert!(!p.contains(Ipv4Addr::from(next)), "{ctx}");
         }
+        assert_eq!(
+            u64::from(u32::from(p.last()) - u32::from(p.first())) + 1,
+            p.size(),
+            "{ctx}"
+        );
+    }
+}
 
-        /// Longest-prefix match agrees with a brute-force scan.
-        #[test]
-        fn trie_matches_linear_scan(
-            entries in prop::collection::vec((any::<u32>(), 8u8..=28), 1..20),
-            probe: u32,
-        ) {
-            let mut map = PrefixMap::new();
-            let mut list = Vec::new();
-            for (i, (addr, len)) in entries.iter().enumerate() {
-                let p = Ipv4Prefix::new(Ipv4Addr::from(*addr), *len);
-                map.insert_v4(p, i);
-                list.push((p, i));
-            }
-            let probe_addr = Ipv4Addr::from(probe);
-            let expected = list
-                .iter()
-                .filter(|(p, _)| p.contains(probe_addr))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(p, _)| *p);
-            let got = map.lookup_v4(probe_addr).map(|(p, _)| p);
-            // Note: duplicate prefixes keep the last value but the same prefix.
-            prop_assert_eq!(got, expected);
-        }
+/// Longest-prefix match agrees with a brute-force scan.
+#[test]
+fn trie_matches_linear_scan() {
+    use iotmap::nettypes::{Ipv4Prefix, PrefixMap};
+    use std::net::Ipv4Addr;
 
-        /// IntervalSet behaves like a set of integers.
-        #[test]
-        fn interval_set_models_btreeset(
-            ranges in prop::collection::vec((0u64..500, 1u64..40), 0..20),
-            probes in prop::collection::vec(0u64..600, 20),
-        ) {
-            let mut set = IntervalSet::new();
-            let mut model = BTreeSet::new();
-            for (start, width) in ranges {
-                set.insert_range(start, start + width);
-                model.extend(start..start + width);
-            }
-            prop_assert_eq!(set.len(), model.len() as u64);
-            for p in probes {
-                prop_assert_eq!(set.contains(p), model.contains(&p), "probe {}", p);
-            }
-            // Ranges are maximal (no two adjacent ranges).
-            let rs: Vec<_> = set.ranges().collect();
-            for w in rs.windows(2) {
-                prop_assert!(w[0].1 < w[1].0);
-            }
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let entries: Vec<(u32, u8)> = (0..rng.gen_range(1, 20))
+            .map(|_| (rng.next_u32(), rng.gen_range(8, 29) as u8))
+            .collect();
+        // Half the probes land inside an entry so the match is exercised,
+        // not just the miss path.
+        let probe = if rng.chance(0.5) {
+            rng.choose(&entries).0 ^ (rng.next_u32() >> 28)
+        } else {
+            rng.next_u32()
+        };
+        let ctx = format!("seed {seed}: entries={entries:?} probe={probe}");
+        let mut map = PrefixMap::new();
+        let mut list = Vec::new();
+        for (i, (addr, len)) in entries.iter().enumerate() {
+            let p = Ipv4Prefix::new(Ipv4Addr::from(*addr), *len);
+            map.insert_v4(p, i);
+            list.push((p, i));
         }
+        let probe_addr = Ipv4Addr::from(probe);
+        let expected = list
+            .iter()
+            .filter(|(p, _)| p.contains(probe_addr))
+            .max_by_key(|(p, _)| p.len())
+            .map(|(p, _)| *p);
+        let got = map.lookup_v4(probe_addr).map(|(p, _)| p);
+        // Note: duplicate prefixes keep the last value but the same prefix.
+        assert_eq!(got, expected, "{ctx}");
+    }
+}
 
-        /// ECDF is monotone and bounded.
-        #[test]
-        fn ecdf_is_monotone(samples in prop::collection::vec(0.0f64..1e9, 1..200)) {
-            let e = Ecdf::new(samples.clone());
-            let mut last = 0.0;
-            for x in [0.0, 1.0, 1e3, 1e6, 1e9, 2e9] {
-                let f = e.fraction_at_or_below(x);
-                prop_assert!((0.0..=1.0).contains(&f));
-                prop_assert!(f + 1e-12 >= last);
-                last = f;
-            }
-            prop_assert_eq!(e.fraction_at_or_below(2e9), 1.0);
-            let med = e.median();
-            prop_assert!(samples.iter().any(|s| (s - med).abs() < 1e-9));
-        }
+/// IntervalSet behaves like a set of integers.
+#[test]
+fn interval_set_models_btreeset() {
+    use iotmap::nettypes::interval::IntervalSet;
 
-        /// The Pike VM and the naive backtracker agree on random inputs.
-        #[test]
-        fn regex_engines_agree(input in "[a-z0-9.-]{0,40}") {
-            let patterns = [
-                r"(.+)(\.iot\.)([[:alnum:]]+(-[[:alnum:]]+)+)(\.amazonaws\.com\.$)",
-                r"(.+\.|^)(azure-devices\.net\.$)",
-                r"^[a-z]+[0-9]*\.",
-                r"(ab|ba)+c?",
-                r"[^.]+\.[^.]+",
-            ];
-            for pat in patterns {
-                let pike = Regex::new(pat).unwrap();
-                let bt = BacktrackRegex::new(pat).unwrap();
-                prop_assert_eq!(
-                    pike.is_match(&input),
-                    bt.is_match(&input),
-                    "search disagreement on {} / {:?}", pat, &input
-                );
-                prop_assert_eq!(
-                    pike.is_full_match(&input),
-                    bt.is_full_match(&input),
-                    "full-match disagreement on {} / {:?}", pat, &input
-                );
-            }
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let ranges: Vec<(u64, u64)> = (0..rng.gen_below(20))
+            .map(|_| (rng.gen_below(500), rng.gen_range(1, 40)))
+            .collect();
+        let probes: Vec<u64> = (0..20).map(|_| rng.gen_below(600)).collect();
+        let ctx = format!("seed {seed}: ranges={ranges:?}");
+        let mut set = IntervalSet::new();
+        let mut model = BTreeSet::new();
+        for &(start, width) in &ranges {
+            set.insert_range(start, start + width);
+            model.extend(start..start + width);
         }
+        assert_eq!(set.len(), model.len() as u64, "{ctx}");
+        for p in probes {
+            assert_eq!(set.contains(p), model.contains(&p), "{ctx} probe={p}");
+        }
+        // Ranges are maximal (no two adjacent ranges).
+        let rs: Vec<_> = set.ranges().collect();
+        for w in rs.windows(2) {
+            assert!(w[0].1 < w[1].0, "{ctx}");
+        }
+    }
+}
 
-        /// Domain parsing is idempotent and case-normalizing.
-        #[test]
-        fn domain_parse_idempotent(labels in prop::collection::vec("[A-Za-z0-9]{1,10}", 1..5)) {
-            let raw = labels.join(".");
-            let d1 = DomainName::parse(&raw).unwrap();
-            let d2 = DomainName::parse(d1.as_str()).unwrap();
-            prop_assert_eq!(&d1, &d2);
-            prop_assert_eq!(d1.as_str(), raw.to_lowercase());
-            prop_assert_eq!(d1.label_count(), labels.len());
-            // FQDN form parses back to the same name.
-            let d3 = DomainName::parse(&d1.fqdn()).unwrap();
-            prop_assert_eq!(&d1, &d3);
-        }
+/// ECDF is monotone and bounded.
+#[test]
+fn ecdf_is_monotone() {
+    use iotmap::stats::Ecdf;
 
-        /// Civil-date arithmetic roundtrips through SimTime.
-        #[test]
-        fn date_time_roundtrip(days in 0i64..40_000, secs in 0u64..86_400) {
-            let date = Date::from_epoch_days(days);
-            prop_assert_eq!(date.epoch_days(), days);
-            let t = SimTime(days as u64 * 86_400 + secs);
-            prop_assert_eq!(t.date(), date);
-            prop_assert_eq!(t.epoch_days(), days);
-            prop_assert_eq!(t.hour_of_day() as u64, secs / 3600);
-            prop_assert_eq!(t.midnight().unix(), days as u64 * 86_400);
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let samples: Vec<f64> = (0..rng.gen_range(1, 200))
+            .map(|_| rng.f64_range(0.0, 1e9))
+            .collect();
+        let ctx = format!("seed {seed}: samples={samples:?}");
+        let e = Ecdf::new(samples.clone());
+        let mut last = 0.0;
+        for x in [0.0, 1.0, 1e3, 1e6, 1e9, 2e9] {
+            let f = e.fraction_at_or_below(x);
+            assert!((0.0..=1.0).contains(&f), "{ctx}");
+            assert!(f + 1e-12 >= last, "{ctx}");
+            last = f;
         }
+        assert_eq!(e.fraction_at_or_below(2e9), 1.0, "{ctx}");
+        let med = e.median();
+        assert!(samples.iter().any(|s| (s - med).abs() < 1e-9), "{ctx}");
+    }
+}
 
-        /// The deterministic RNG forks are stable and independent of call order.
-        #[test]
-        fn rng_forks_are_order_independent(seed: u64) {
-            use iotmap::nettypes::SimRng;
-            let root = SimRng::new(seed);
-            let mut a1 = root.fork("alpha");
-            let mut b1 = root.fork("beta");
-            // Opposite acquisition order must not change the streams.
-            let mut b2 = root.fork("beta");
-            let mut a2 = root.fork("alpha");
-            prop_assert_eq!(a1.next_u64(), a2.next_u64());
-            prop_assert_eq!(b1.next_u64(), b2.next_u64());
+/// The Pike VM and the naive backtracker agree on random inputs.
+#[test]
+fn regex_engines_agree() {
+    use iotmap::dregex::{backtrack::BacktrackRegex, Regex};
+
+    let patterns = [
+        r"(.+)(\.iot\.)([[:alnum:]]+(-[[:alnum:]]+)+)(\.amazonaws\.com\.$)",
+        r"(.+\.|^)(azure-devices\.net\.$)",
+        r"^[a-z]+[0-9]*\.",
+        r"(ab|ba)+c?",
+        r"[^.]+\.[^.]+",
+    ];
+    let compiled: Vec<_> = patterns
+        .iter()
+        .map(|pat| {
+            (
+                pat,
+                Regex::new(pat).unwrap(),
+                BacktrackRegex::new(pat).unwrap(),
+            )
+        })
+        .collect();
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let input = random_string(&mut rng, HOST_CHARS, 0, 40);
+        for (pat, pike, bt) in &compiled {
+            assert_eq!(
+                pike.is_match(&input),
+                bt.is_match(&input),
+                "seed {seed}: search disagreement on {pat} / {input:?}"
+            );
+            assert_eq!(
+                pike.is_full_match(&input),
+                bt.is_full_match(&input),
+                "seed {seed}: full-match disagreement on {pat} / {input:?}"
+            );
         }
+    }
+}
+
+/// Domain parsing is idempotent and case-normalizing.
+#[test]
+fn domain_parse_idempotent() {
+    use iotmap::nettypes::DomainName;
+
+    const LABEL_CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let labels: Vec<String> = (0..rng.gen_range(1, 5))
+            .map(|_| random_string(&mut rng, LABEL_CHARS, 1, 10))
+            .collect();
+        let raw = labels.join(".");
+        let ctx = format!("seed {seed}: {raw:?}");
+        let d1 = DomainName::parse(&raw).unwrap();
+        let d2 = DomainName::parse(d1.as_str()).unwrap();
+        assert_eq!(&d1, &d2, "{ctx}");
+        assert_eq!(d1.as_str(), raw.to_lowercase(), "{ctx}");
+        assert_eq!(d1.label_count(), labels.len(), "{ctx}");
+        // FQDN form parses back to the same name.
+        let d3 = DomainName::parse(&d1.fqdn()).unwrap();
+        assert_eq!(&d1, &d3, "{ctx}");
+    }
+}
+
+/// Civil-date arithmetic roundtrips through SimTime.
+#[test]
+fn date_time_roundtrip() {
+    use iotmap::nettypes::{Date, SimTime};
+
+    for seed in 0..CASES {
+        let mut rng = SimRng::new(seed);
+        let days = rng.gen_below(40_000) as i64;
+        let secs = rng.gen_below(86_400);
+        let ctx = format!("seed {seed}: days={days} secs={secs}");
+        let date = Date::from_epoch_days(days);
+        assert_eq!(date.epoch_days(), days, "{ctx}");
+        let t = SimTime(days as u64 * 86_400 + secs);
+        assert_eq!(t.date(), date, "{ctx}");
+        assert_eq!(t.epoch_days(), days, "{ctx}");
+        assert_eq!(t.hour_of_day() as u64, secs / 3600, "{ctx}");
+        assert_eq!(t.midnight().unix(), days as u64 * 86_400, "{ctx}");
+    }
+}
+
+/// The deterministic RNG forks are stable and independent of call order.
+#[test]
+fn rng_forks_are_order_independent() {
+    for case in 0..CASES {
+        let seed = SimRng::new(case).next_u64();
+        let ctx = format!("case {case}: seed={seed}");
+        let root = SimRng::new(seed);
+        let mut a1 = root.fork("alpha");
+        let mut b1 = root.fork("beta");
+        // Opposite acquisition order must not change the streams.
+        let mut b2 = root.fork("beta");
+        let mut a2 = root.fork("alpha");
+        assert_eq!(a1.next_u64(), a2.next_u64(), "{ctx}");
+        assert_eq!(b1.next_u64(), b2.next_u64(), "{ctx}");
     }
 }
