@@ -86,29 +86,9 @@ impl BorderRouter {
             Some(mut est) => {
                 // Export faults come after the sampler so its RNG stream —
                 // and therefore every surviving estimate — is unchanged by
-                // the fault layer.
-                if iotmap_faults::drops(
-                    self.fault_seed,
-                    "netflow.reset",
-                    true_flow.time.epoch_hours(),
-                    self.faults.reset_rate,
-                ) {
-                    self.export_dropped += 1;
-                    self.reset_dropped += 1;
-                    return;
-                }
-                let flow_key = iotmap_faults::key3(
-                    iotmap_faults::key2(true_flow.time.unix(), true_flow.line.0),
-                    iotmap_faults::key_ip(true_flow.remote),
-                    iotmap_faults::key2(true_flow.port.port as u64, true_flow.direction as u64),
-                );
-                if iotmap_faults::drops(
-                    self.fault_seed,
-                    "netflow.export_drop",
-                    flow_key,
-                    self.faults.export_drop_rate,
-                ) {
-                    self.export_dropped += 1;
+                // the fault layer. Without a fault plan neither roll (nor
+                // its key) is computed.
+                if self.faults.is_active() && self.export_fault(true_flow) {
                     return;
                 }
                 est.line = self.anonymizer.anonymize(true_flow.line);
@@ -116,6 +96,35 @@ impl BorderRouter {
                 out.push(est);
             }
         }
+    }
+
+    /// Roll the export faults for one sampled flow, accounting a drop.
+    fn export_fault(&mut self, true_flow: &FlowRecord) -> bool {
+        if iotmap_faults::drops(
+            self.fault_seed,
+            "netflow.reset",
+            true_flow.time.epoch_hours(),
+            self.faults.reset_rate,
+        ) {
+            self.export_dropped += 1;
+            self.reset_dropped += 1;
+            return true;
+        }
+        let flow_key = iotmap_faults::key3(
+            iotmap_faults::key2(true_flow.time.unix(), true_flow.line.0),
+            iotmap_faults::key_ip(true_flow.remote),
+            iotmap_faults::key2(true_flow.port.port as u64, true_flow.direction as u64),
+        );
+        if iotmap_faults::drops(
+            self.fault_seed,
+            "netflow.export_drop",
+            flow_key,
+            self.faults.export_drop_rate,
+        ) {
+            self.export_dropped += 1;
+            return true;
+        }
+        false
     }
 
     /// Report this router's lifetime tallies to the observability layer

@@ -14,6 +14,8 @@
 //!   RouteViews-style IP→AS mapping of §4.3.
 //! * [`trie::SuffixIndex`] — reversed-label suffix lookups over domain
 //!   names, the prefilter behind §3.2's single-pass pattern matching.
+//! * [`fxhash`] — a cheap hasher for maps keyed by simulated values that
+//!   no outside party chooses (the per-flow traffic accumulators).
 //! * [`geo`] — continent/country/city model used for footprints (§4.2) and
 //!   region-crossing analyses (§5.7).
 //! * [`time`] — civil-date simulated time; study periods of §3.1.
@@ -24,6 +26,7 @@ pub mod asn;
 pub mod bgp;
 pub mod dist;
 pub mod error;
+pub mod fxhash;
 pub mod geo;
 pub mod intern;
 pub mod interval;
@@ -38,6 +41,7 @@ pub mod trie;
 pub use asn::Asn;
 pub use bgp::{BgpOrigin, BgpTable};
 pub use error::{Error, ParseError};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use geo::{Continent, CountryCode, Location};
 pub use intern::{Interner, Sym};
 pub use name::DomainName;

@@ -9,12 +9,19 @@
 //! ever materializing the full flow set. Byte volumes accumulate as
 //! exact `u64` sums and convert to `f64` only at report time, so no
 //! float-rounding order dependence can creep in.
+//!
+//! The per-flow accumulators are [`FxHashMap`]/[`FxHashSet`]: their keys
+//! are keyed-anonymizer line ids, world IPs, days and ports, none chosen
+//! by an outside party, so SipHash's collision resistance buys nothing
+//! here. The pass's flow metrics live in the partial too and reach the
+//! obs recorder once, in [`AnalysisFold::into_report`].
 
 use crate::index::IpIndex;
 use iotmap_netflow::{Direction, FlowFold, FlowRecord, LineId};
-use iotmap_nettypes::{Continent, PortProto, StudyPeriod};
+use iotmap_nettypes::{Continent, FxHashMap, FxHashSet, PortProto, StudyPeriod};
+use iotmap_obs::{Histogram, RunReport};
 use iotmap_stats::{Ecdf, HourlySeries};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Region grouping for the outage analysis (Fig. 15/16): the affected
 /// region vs. the provider's European regions vs. everything else.
@@ -79,49 +86,55 @@ pub const BUCKET_LABELS: [&str; 4] = ["EU", "US", "Asia", "Other"];
 #[derive(Debug, Clone)]
 pub struct AnalysisPartial {
     // Fig. 8: distinct lines per (provider, hour).
-    hourly_lines: Vec<HashSet<LineId>>,
+    hourly_lines: Vec<FxHashSet<LineId>>,
     // Fig. 9 / 15: downstream bytes per (provider, hour). Exact integer
     // sums; the report converts to f64 once.
     hourly_dn: Vec<u64>,
     // Fig. 15/16: per (provider, region group, hour).
     hourly_dn_region: Vec<u64>,
-    hourly_lines_region: Vec<HashSet<LineId>>,
+    hourly_lines_region: Vec<FxHashSet<LineId>>,
     // Fig. 10.
     total_dn: Vec<u64>,
     total_up: Vec<u64>,
     // Fig. 11.
-    port_bytes: HashMap<(usize, PortProto), u64>,
+    port_bytes: FxHashMap<(usize, PortProto), u64>,
     // Fig. 12.
-    line_day_dn: HashMap<(LineId, i64), u64>,
-    line_day_up: HashMap<(LineId, i64), u64>,
-    line_day_prov_dn: HashMap<(LineId, i64, u16), u64>,
-    line_day_port_dn: HashMap<(LineId, i64, PortProto), u64>,
+    line_day_dn: FxHashMap<(LineId, i64), u64>,
+    line_day_up: FxHashMap<(LineId, i64), u64>,
+    line_day_prov_dn: FxHashMap<(LineId, i64, u16), u64>,
+    line_day_port_dn: FxHashMap<(LineId, i64, PortProto), u64>,
     // Fig. 13/14.
-    line_buckets: HashMap<LineId, u8>,
+    line_buckets: FxHashMap<LineId, u8>,
     bucket_bytes: [u64; 4],
-    // Daily active lines per address family (§5.2's 2.32M / 202k).
-    daily_v4: HashMap<i64, HashSet<LineId>>,
-    daily_v6: HashMap<i64, HashSet<LineId>>,
+    // Daily active lines per address family (§5.2's 2.32M / 202k),
+    // indexed by day offset in the period.
+    daily_v4: Vec<FxHashSet<LineId>>,
+    daily_v6: Vec<FxHashSet<LineId>>,
+    // `traffic.analysis.flow_bytes` (its count is
+    // `traffic.analysis.flows_analyzed`): every flow to an indexed
+    // backend from a non-excluded line, in or out of the period.
+    flow_bytes: Histogram,
 }
 
 impl AnalysisPartial {
-    fn new(providers: usize, hours: usize) -> AnalysisPartial {
+    fn new(providers: usize, hours: usize, days: usize) -> AnalysisPartial {
         AnalysisPartial {
-            hourly_lines: vec![HashSet::new(); providers * hours],
+            hourly_lines: vec![FxHashSet::default(); providers * hours],
             hourly_dn: vec![0; providers * hours],
             hourly_dn_region: vec![0; providers * 3 * hours],
-            hourly_lines_region: vec![HashSet::new(); providers * 3 * hours],
+            hourly_lines_region: vec![FxHashSet::default(); providers * 3 * hours],
             total_dn: vec![0; providers],
             total_up: vec![0; providers],
-            port_bytes: HashMap::new(),
-            line_day_dn: HashMap::new(),
-            line_day_up: HashMap::new(),
-            line_day_prov_dn: HashMap::new(),
-            line_day_port_dn: HashMap::new(),
-            line_buckets: HashMap::new(),
+            port_bytes: FxHashMap::default(),
+            line_day_dn: FxHashMap::default(),
+            line_day_up: FxHashMap::default(),
+            line_day_prov_dn: FxHashMap::default(),
+            line_day_port_dn: FxHashMap::default(),
+            line_buckets: FxHashMap::default(),
             bucket_bytes: [0; 4],
-            daily_v4: HashMap::new(),
-            daily_v6: HashMap::new(),
+            daily_v4: vec![FxHashSet::default(); days],
+            daily_v6: vec![FxHashSet::default(); days],
+            flow_bytes: Histogram::new(),
         }
     }
 
@@ -169,43 +182,73 @@ impl AnalysisPartial {
         for (a, b) in self.bucket_bytes.iter_mut().zip(other.bucket_bytes) {
             *a += b;
         }
-        for (k, v) in other.daily_v4 {
-            self.daily_v4.entry(k).or_default().extend(v);
+        for (a, b) in self.daily_v4.iter_mut().zip(other.daily_v4) {
+            a.extend(b);
         }
-        for (k, v) in other.daily_v6 {
-            self.daily_v6.entry(k).or_default().extend(v);
+        for (a, b) in self.daily_v6.iter_mut().zip(other.daily_v6) {
+            a.extend(b);
         }
+        self.flow_bytes.merge_snapshot(&other.flow_bytes.snapshot());
+    }
+
+    /// Report the pass's flow metrics to the installed recorder in one
+    /// merge, leaving no key behind when no flow was analyzed (as
+    /// per-flow recording would).
+    fn flush_metrics(&self) {
+        let snap = self.flow_bytes.snapshot();
+        if snap.count == 0 || !iotmap_obs::enabled() {
+            return;
+        }
+        let mut report = RunReport::default();
+        report
+            .counters
+            .insert("traffic.analysis.flows_analyzed".to_string(), snap.count);
+        report
+            .histograms
+            .insert("traffic.analysis.flow_bytes".to_string(), snap);
+        iotmap_obs::merge_child_report(&report);
     }
 }
 
 /// The mergeable flow-analysis aggregation over a study period.
 pub struct AnalysisFold<'a> {
     index: &'a IpIndex,
-    excluded: &'a HashSet<LineId>,
+    excluded: FxHashSet<LineId>,
     start_hour: u64,
     hours: usize,
+    start_day: u64,
+    days: usize,
 }
 
 impl<'a> AnalysisFold<'a> {
-    /// Fold covering a study period.
-    pub fn new(index: &'a IpIndex, excluded: &'a HashSet<LineId>, period: StudyPeriod) -> Self {
+    /// Fold covering a study period, skipping the `excluded` lines.
+    pub fn new(index: &'a IpIndex, excluded: &HashSet<LineId>, period: StudyPeriod) -> Self {
+        let start_hour = period.start.epoch_hours();
+        let hours = period.hours().count();
+        let start_day = start_hour / 24;
         AnalysisFold {
             index,
-            excluded,
-            start_hour: period.start.epoch_hours(),
-            hours: period.hours().count(),
+            excluded: excluded.iter().copied().collect(),
+            start_hour,
+            hours,
+            start_day,
+            days: ((start_hour + hours as u64).div_ceil(24) - start_day) as usize,
         }
     }
 
-    /// Consume a folded partial into a report.
+    /// Consume a folded partial into a report, flushing the pass's flow
+    /// metrics to the installed recorder.
     pub fn into_report(&self, partial: AnalysisPartial) -> AnalysisReport {
         let _span = iotmap_obs::span!("traffic.analysis.into_report");
         let p = partial;
-        // Per-day family counts, sorted by day so the report is a pure
-        // function of the flow stream (HashMap iteration order is not).
-        let day_counts = |m: &HashMap<i64, HashSet<LineId>>| {
-            let by_day: BTreeMap<i64, usize> = m.iter().map(|(d, s)| (*d, s.len())).collect();
-            by_day.into_values().collect::<Vec<usize>>()
+        p.flush_metrics();
+        // Per-day family counts in day order, over the days that saw the
+        // family at all.
+        let day_counts = |days: &[FxHashSet<LineId>]| {
+            days.iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| s.len())
+                .collect::<Vec<usize>>()
         };
         AnalysisReport {
             providers: self.index.providers().to_vec(),
@@ -245,7 +288,7 @@ impl FlowFold for AnalysisFold<'_> {
     type Partial = AnalysisPartial;
 
     fn make(&self) -> AnalysisPartial {
-        AnalysisPartial::new(self.index.providers().len(), self.hours)
+        AnalysisPartial::new(self.index.providers().len(), self.hours, self.days)
     }
 
     fn fold(&self, acc: &mut AnalysisPartial, r: &FlowRecord) {
@@ -255,8 +298,7 @@ impl FlowFold for AnalysisFold<'_> {
         let Some(meta) = self.index.get(r.remote) else {
             return;
         };
-        iotmap_obs::count!("traffic.analysis.flows_analyzed");
-        iotmap_obs::observe!("traffic.analysis.flow_bytes", r.bytes);
+        acc.flow_bytes.record(r.bytes);
         let p = meta.provider;
         let hour = r.time.epoch_hours();
         if hour < self.start_hour {
@@ -266,7 +308,10 @@ impl FlowFold for AnalysisFold<'_> {
         if h >= self.hours {
             return;
         }
-        let day = r.time.epoch_days();
+        // Whole days since the epoch, as `SimTime::epoch_days` computes.
+        let day_abs = hour / 24;
+        let day = day_abs as i64;
+        let d = (day_abs - self.start_day) as usize;
         let group = RegionGroup::of(self.index, meta);
 
         acc.hourly_lines[p * self.hours + h].insert(r.line);
@@ -298,9 +343,9 @@ impl FlowFold for AnalysisFold<'_> {
         acc.bucket_bytes[bucket] += r.bytes;
 
         if r.remote.is_ipv4() {
-            acc.daily_v4.entry(day).or_default().insert(r.line);
+            acc.daily_v4[d].insert(r.line);
         } else {
-            acc.daily_v6.entry(day).or_default().insert(r.line);
+            acc.daily_v6[d].insert(r.line);
         }
     }
 
@@ -322,12 +367,12 @@ pub struct AnalysisReport {
     hourly_lines_region: Vec<f64>,
     total_dn: Vec<u64>,
     total_up: Vec<u64>,
-    port_bytes: HashMap<(usize, PortProto), u64>,
-    line_day_dn: HashMap<(LineId, i64), u64>,
-    line_day_up: HashMap<(LineId, i64), u64>,
-    line_day_prov_dn: HashMap<(LineId, i64, u16), u64>,
-    line_day_port_dn: HashMap<(LineId, i64, PortProto), u64>,
-    line_buckets: HashMap<LineId, u8>,
+    port_bytes: FxHashMap<(usize, PortProto), u64>,
+    line_day_dn: FxHashMap<(LineId, i64), u64>,
+    line_day_up: FxHashMap<(LineId, i64), u64>,
+    line_day_prov_dn: FxHashMap<(LineId, i64, u16), u64>,
+    line_day_port_dn: FxHashMap<(LineId, i64, PortProto), u64>,
+    line_buckets: FxHashMap<LineId, u8>,
     bucket_bytes: [u64; 4],
     daily_v4: Vec<usize>,
     daily_v6: Vec<usize>,
@@ -558,6 +603,7 @@ mod tests {
     use super::*;
     use iotmap_core::{DiscoveryResult, Footprint, IpEvidence, ProviderDiscovery};
     use iotmap_nettypes::{Date, Location, SimDuration};
+    use std::collections::HashMap;
     use std::net::IpAddr;
 
     fn index() -> IpIndex {

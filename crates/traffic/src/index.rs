@@ -12,7 +12,7 @@
 //! per record.
 
 use iotmap_core::{DiscoveryResult, Footprint};
-use iotmap_nettypes::{Continent, Interner, Sym};
+use iotmap_nettypes::{Continent, FxHashMap, Interner, Sym};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
@@ -35,7 +35,9 @@ pub struct IpIndex {
     regions: Interner,
     /// Symbol of the outage-struck region, when any indexed IP sits there.
     us_east1: Option<Sym>,
-    map: HashMap<IpAddr, IpMeta>,
+    /// Looked up once per exported flow; keyed by world IPs, which no
+    /// outside party chooses, so the cheap hasher is safe.
+    map: FxHashMap<IpAddr, IpMeta>,
 }
 
 impl IpIndex {

@@ -25,6 +25,6 @@ pub mod whatif;
 pub use analysis::{AnalysisFold, AnalysisPartial, AnalysisReport, RegionGroup};
 pub use anonymize::Anonymization;
 pub use index::{IpIndex, IpMeta};
-pub use scanners::{ContactFold, Contacts, ScannerAnalysis, ScannerCurvePoint};
+pub use scanners::{ContactFold, ContactPartial, Contacts, ScannerAnalysis, ScannerCurvePoint};
 pub use visibility::{source_ablation, visibility_per_provider, ProviderVisibility};
 pub use whatif::{cascade_impact, CloudDependence};

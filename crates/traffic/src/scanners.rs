@@ -7,12 +7,13 @@
 
 use crate::index::IpIndex;
 use iotmap_netflow::{FlowFold, FlowRecord, LineId};
-use std::collections::{HashMap, HashSet};
+use iotmap_nettypes::{FxHashMap, FxHashSet};
+use std::collections::HashSet;
 use std::net::IpAddr;
 
 /// Result of the contact pass: per line, the distinct backend IPs it
 /// contacted (both families).
-pub type Contacts = HashMap<LineId, HashSet<IpAddr>>;
+pub type Contacts = FxHashMap<LineId, FxHashSet<IpAddr>>;
 
 /// The contact pass as a mergeable fold: per-line contact sets are
 /// pure set unions, so per-shard partials merged in any split of the
@@ -21,30 +22,52 @@ pub struct ContactFold<'a> {
     index: &'a IpIndex,
 }
 
+/// Accumulator of [`ContactFold`]: the contact sets, plus the
+/// `traffic.contact.flows_matched` count that
+/// [`ContactFold::into_contacts`] reports once per pass.
+#[derive(Debug, Default, PartialEq)]
+pub struct ContactPartial {
+    contacts: Contacts,
+    flows_matched: u64,
+}
+
 impl<'a> ContactFold<'a> {
     /// New fold over an index.
     pub fn new(index: &'a IpIndex) -> Self {
         ContactFold { index }
     }
+
+    /// Finish a folded partial: report its flow count to the installed
+    /// recorder and return the contact sets.
+    pub fn into_contacts(&self, partial: ContactPartial) -> Contacts {
+        if partial.flows_matched > 0 {
+            iotmap_obs::count!("traffic.contact.flows_matched", partial.flows_matched);
+        }
+        partial.contacts
+    }
 }
 
 impl FlowFold for ContactFold<'_> {
-    type Partial = Contacts;
+    type Partial = ContactPartial;
 
-    fn make(&self) -> Contacts {
-        Contacts::new()
+    fn make(&self) -> ContactPartial {
+        ContactPartial::default()
     }
 
-    fn fold(&self, acc: &mut Self::Partial, record: &FlowRecord) {
+    fn fold(&self, acc: &mut ContactPartial, record: &FlowRecord) {
         if self.index.get(record.remote).is_some() {
-            iotmap_obs::count!("traffic.contact.flows_matched");
-            acc.entry(record.line).or_default().insert(record.remote);
+            acc.flows_matched += 1;
+            acc.contacts
+                .entry(record.line)
+                .or_default()
+                .insert(record.remote);
         }
     }
 
-    fn merge(&self, acc: &mut Self::Partial, other: Self::Partial) {
-        for (line, ips) in other {
-            acc.entry(line).or_default().extend(ips);
+    fn merge(&self, acc: &mut ContactPartial, other: ContactPartial) {
+        acc.flows_matched += other.flows_matched;
+        for (line, ips) in other.contacts {
+            acc.contacts.entry(line).or_default().extend(ips);
         }
     }
 }
@@ -128,6 +151,7 @@ mod tests {
     use iotmap_core::{DiscoveryResult, IpEvidence, ProviderDiscovery};
     use iotmap_netflow::Direction;
     use iotmap_nettypes::{Date, PortProto};
+    use std::collections::HashMap;
 
     fn index(n_ips: usize) -> IpIndex {
         let mut p = ProviderDiscovery {
@@ -166,7 +190,8 @@ mod tests {
                 (0..n).map(move |i| flow(line, &format!("10.0.{}.{}", i / 250, 1 + i % 250)))
             })
             .collect();
-        ContactFold::new(idx).fold_all(&records)
+        let fold = ContactFold::new(idx);
+        fold.into_contacts(fold.fold_all(&records))
     }
 
     #[test]
@@ -206,26 +231,53 @@ mod tests {
         }
     }
 
+    /// The fold law behind the streaming path, flow counter included:
+    /// folding any split of the stream into two partials and merging
+    /// equals the serial pass, and finishing it reports the serial count.
     #[test]
     fn contact_fold_merges_like_it_folds() {
         let idx = index(50);
+        // Every fourth flow goes to an address outside the index.
         let records: Vec<FlowRecord> = (0..30)
-            .map(|i| flow(1 + i % 4, &format!("10.0.0.{}", 1 + i % 50)))
+            .map(|i| match i % 4 {
+                3 => flow(1 + i % 5, "99.9.9.9"),
+                _ => flow(1 + i % 5, &format!("10.0.0.{}", 1 + i % 50)),
+            })
             .collect();
         let fold = ContactFold::new(&idx);
         let serial = fold.fold_all(&records);
+        assert_eq!(serial.flows_matched, 23);
         for split in 0..=records.len() {
             let (a, b) = records.split_at(split);
             let mut left = fold.fold_all(a);
             fold.merge(&mut left, fold.fold_all(b));
             assert_eq!(left, serial, "split at {split}");
+
+            let registry = std::rc::Rc::new(iotmap_obs::Registry::new());
+            iotmap_obs::install(registry.clone());
+            let contacts = fold.into_contacts(left);
+            iotmap_obs::uninstall();
+            assert_eq!(contacts, serial.contacts, "split at {split}");
+            assert_eq!(registry.counter("traffic.contact.flows_matched"), 23);
         }
     }
 
     #[test]
     fn non_backend_remotes_ignored() {
         let idx = index(10);
-        let contacts = ContactFold::new(&idx).fold_all(&[flow(1, "99.99.99.99")]);
-        assert!(contacts.is_empty());
+        let fold = ContactFold::new(&idx);
+        let partial = fold.fold_all(&[flow(1, "99.99.99.99")]);
+        assert_eq!(partial.flows_matched, 0);
+        let registry = std::rc::Rc::new(iotmap_obs::Registry::new());
+        iotmap_obs::install(registry.clone());
+        assert!(fold.into_contacts(partial).is_empty());
+        iotmap_obs::uninstall();
+        assert!(
+            !registry
+                .report()
+                .counters
+                .contains_key("traffic.contact.flows_matched"),
+            "no matched flow, no counter key"
+        );
     }
 }

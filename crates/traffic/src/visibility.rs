@@ -144,27 +144,36 @@ mod tests {
         )
     }
 
-    fn feed(idx: &IpIndex, contacts: &mut Contacts, line: u64, ip: &str) {
-        let record = FlowRecord {
-            time: Date::new(2022, 3, 1).midnight(),
-            line: LineId(line),
-            remote: ip.parse().unwrap(),
-            port: PortProto::tcp(443),
-            direction: Direction::Downstream,
-            bytes: 1000,
-            packets: 2,
-        };
-        ContactFold::new(idx).fold(contacts, &record);
+    /// The contact pass over one flow per `(line, remote)` pair.
+    fn contacts(idx: &IpIndex, flows: &[(u64, &str)]) -> Contacts {
+        let records: Vec<FlowRecord> = flows
+            .iter()
+            .map(|&(line, ip)| FlowRecord {
+                time: Date::new(2022, 3, 1).midnight(),
+                line: LineId(line),
+                remote: ip.parse().unwrap(),
+                port: PortProto::tcp(443),
+                direction: Direction::Downstream,
+                bytes: 1000,
+                packets: 2,
+            })
+            .collect();
+        let fold = ContactFold::new(idx);
+        fold.into_contacts(fold.fold_all(&records))
     }
 
     #[test]
     fn per_provider_visibility() {
         let idx = index();
-        let mut contacts = Contacts::new();
-        feed(&idx, &mut contacts, 1, "10.0.0.1");
-        feed(&idx, &mut contacts, 1, "10.0.0.2");
-        feed(&idx, &mut contacts, 2, "10.1.0.1");
-        feed(&idx, &mut contacts, 2, "2a09::1");
+        let contacts = contacts(
+            &idx,
+            &[
+                (1, "10.0.0.1"),
+                (1, "10.0.0.2"),
+                (2, "10.1.0.1"),
+                (2, "2a09::1"),
+            ],
+        );
         let vis = visibility_per_provider(&idx, &contacts, &HashSet::new());
         let alpha = vis.iter().find(|v| v.provider == "alpha").unwrap();
         assert!((alpha.v4 - 0.5).abs() < 1e-9);
@@ -179,8 +188,7 @@ mod tests {
     #[test]
     fn excluded_lines_do_not_count() {
         let idx = index();
-        let mut contacts = Contacts::new();
-        feed(&idx, &mut contacts, 7, "10.0.0.1");
+        let contacts = contacts(&idx, &[(7, "10.0.0.1")]);
         let excluded: HashSet<LineId> = [LineId(7)].into_iter().collect();
         let vis = visibility_per_provider(&idx, &contacts, &excluded);
         assert_eq!(vis[0].v4, 0.0);
@@ -190,11 +198,9 @@ mod tests {
     #[test]
     fn ablation_measures_line_loss() {
         let idx = index();
-        let mut contacts = Contacts::new();
         // Line 1 contacts an IP that certificates would discover;
         // line 2 contacts one that only DNS finds.
-        feed(&idx, &mut contacts, 1, "10.0.0.1");
-        feed(&idx, &mut contacts, 2, "10.0.0.2");
+        let mut flows = vec![(1, "10.0.0.1"), (2, "10.0.0.2")];
         let mut restricted = HashMap::new();
         restricted.insert(
             "alpha".to_string(),
@@ -202,12 +208,12 @@ mod tests {
                 .into_iter()
                 .collect::<HashSet<_>>(),
         );
-        let ablation = source_ablation(&idx, &contacts, &HashSet::new(), &restricted);
+        let ablation = source_ablation(&idx, &contacts(&idx, &flows), &HashSet::new(), &restricted);
         let alpha = ablation.iter().find(|(n, _)| n == "alpha").unwrap();
         assert!((alpha.1 - 0.5).abs() < 1e-9, "half the lines lost");
         // Beta has no restricted set: total loss when lines exist.
-        feed(&idx, &mut contacts, 3, "10.1.0.1");
-        let ablation = source_ablation(&idx, &contacts, &HashSet::new(), &restricted);
+        flows.push((3, "10.1.0.1"));
+        let ablation = source_ablation(&idx, &contacts(&idx, &flows), &HashSet::new(), &restricted);
         let beta = ablation.iter().find(|(n, _)| n == "beta").unwrap();
         assert!((beta.1 - 1.0).abs() < 1e-9);
     }

@@ -210,8 +210,11 @@ impl<'a> TrafficSimulator<'a> {
                 fold.merge(&mut acc, partial);
             }
         }
-        drop(flow_span);
         stats.flows_exported = router.exported;
+        // Item counts on the pass span, so a trace shows ns/flow per pass.
+        iotmap_obs::annotate!("flows_generated", stats.flows_generated);
+        iotmap_obs::annotate!("flows_exported", stats.flows_exported);
+        drop(flow_span);
         router.flush_metrics();
         iotmap_obs::count!("netflow.flows_generated", stats.flows_generated);
         iotmap_obs::count!("world.device_days", stats.device_days);

@@ -951,7 +951,8 @@ impl RunArtifacts {
     pub fn contact_pass(&self, period: StudyPeriod) -> Contacts {
         let _span = iotmap_obs::span!("traffic.contact_pass");
         let sim = self.simulator();
-        sim.run_fold(period, &ContactFold::new(&self.index)).0
+        let fold = ContactFold::new(&self.index);
+        fold.into_contacts(sim.run_fold(period, &fold).0)
     }
 
     /// Scanner exclusion at the paper's threshold.

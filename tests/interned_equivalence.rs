@@ -56,7 +56,8 @@ fn traffic_folds_match_the_serial_sinks() {
 
     // Contact pass: the sharded facade pass against the serial fold.
     let folded = iotmap::par::with_threads(4, || artifacts.contact_pass(period));
-    let serial = ContactFold::new(&artifacts.index).fold_all(&flows);
+    let contact_fold = ContactFold::new(&artifacts.index);
+    let serial = contact_fold.into_contacts(contact_fold.fold_all(&flows));
     assert_eq!(
         folded, serial,
         "sharded contact pass diverges from the serial fold"
@@ -70,6 +71,103 @@ fn traffic_folds_match_the_serial_sinks() {
         folded_report,
         fold.into_report(fold.fold_all(&flows)),
         "sharded analysis pass diverges from the serial fold"
+    );
+}
+
+fn find_span<'a>(
+    nodes: &'a [iotmap_obs::SpanNode],
+    name: &str,
+) -> Option<&'a iotmap_obs::SpanNode> {
+    nodes.iter().find_map(|n| {
+        (n.name == name)
+            .then_some(n)
+            .or_else(|| find_span(&n.children, name))
+    })
+}
+
+/// The folds count their flows in the partials and flush once per pass,
+/// so the metrics must be the per-flow values — independent of how the
+/// stream was sharded — and the flow-generation span must carry the
+/// pass's flow counts.
+#[test]
+fn fold_metrics_are_per_flow_values_at_any_thread_count() {
+    let artifacts = Pipeline::new(WorldConfig::small(42))
+        .run()
+        .expect("pipeline");
+    let period = artifacts.world.config.study_period;
+    let run = |threads| {
+        iotmap::par::with_threads(threads, || {
+            let registry = std::rc::Rc::new(Registry::new());
+            iotmap_obs::install(registry.clone());
+            let contacts = artifacts.contact_pass(period);
+            let excluded = artifacts.excluded_lines(&contacts);
+            artifacts.analysis_pass(period, &excluded);
+            iotmap_obs::uninstall();
+            (registry.report(), excluded)
+        })
+    };
+    let (serial, excluded) = run(1);
+    let (sharded, _) = run(4);
+
+    // The per-flow oracle: the exported stream, filtered the way each
+    // fold filters it.
+    let sim = TrafficSimulator::with_faults(
+        &artifacts.world,
+        artifacts.faults.seed,
+        artifacts.faults.netflow.clone(),
+    );
+    let mut store = StoringSink::new();
+    sim.run(period, &mut store);
+    let matched: Vec<_> = store
+        .records
+        .iter()
+        .filter(|r| artifacts.index.get(r.remote).is_some())
+        .collect();
+    let analyzed: Vec<u64> = matched
+        .iter()
+        .filter(|r| !excluded.contains(&r.line))
+        .map(|r| r.bytes)
+        .collect();
+
+    for report in [&serial, &sharded] {
+        assert_eq!(
+            report.counters["traffic.contact.flows_matched"],
+            matched.len() as u64
+        );
+        assert_eq!(
+            report.counters["traffic.analysis.flows_analyzed"],
+            analyzed.len() as u64
+        );
+        let hist = &report.histograms["traffic.analysis.flow_bytes"];
+        assert_eq!(
+            hist.count,
+            report.counters["traffic.analysis.flows_analyzed"]
+        );
+        assert_eq!(hist.sum, analyzed.iter().sum::<u64>());
+        assert_eq!(hist.min, *analyzed.iter().min().expect("flows analyzed"));
+        assert_eq!(hist.max, *analyzed.iter().max().expect("flows analyzed"));
+
+        // One flow-generation span per pass, annotated with its counts.
+        let exported = report.counters["netflow.flows_exported"];
+        for pass in ["traffic.contact_pass", "traffic.analysis_pass"] {
+            let span = find_span(&report.spans, pass).expect("pass span");
+            let flows = find_span(&span.children, "netflow.flow_generation").expect(pass);
+            assert_eq!(
+                flows.meta_value("flows_exported"),
+                Some(exported / 2),
+                "{pass}"
+            );
+            assert_eq!(
+                flows.meta_value("flows_generated"),
+                Some(report.counters["netflow.flows_generated"] / 2),
+                "{pass}"
+            );
+        }
+    }
+    // Buckets, count, sum, min and max all agree across thread counts.
+    assert_eq!(
+        serial.histograms["traffic.analysis.flow_bytes"],
+        sharded.histograms["traffic.analysis.flow_bytes"]
     );
 }
 

@@ -52,7 +52,8 @@ fn fixture() -> &'static Fixture {
         let index = IpIndex::build(&discovery, &footprints, &shared);
 
         let sim = TrafficSimulator::new(&world);
-        let (contacts, _) = sim.run_fold(period, &ContactFold::new(&index));
+        let contact_fold = ContactFold::new(&index);
+        let contacts = contact_fold.into_contacts(sim.run_fold(period, &contact_fold).0);
         let excluded = ScannerAnalysis::new(&index, &contacts).flagged_lines(100);
         let fold = AnalysisFold::new(&index, &excluded, period);
         let (partial, _) = sim.run_fold(period, &fold);
