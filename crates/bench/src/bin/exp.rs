@@ -8,6 +8,7 @@
 //! Output is plain text: the same rows/series the paper's tables and
 //! figures report. EXPERIMENTS.md records a reference run.
 
+use iotmap_bench::record::{self, Value};
 use iotmap_bench::{CliOptions, Experiment, SCANNER_THRESHOLD};
 use iotmap_core::disruptions::{BlocklistAudit, IncidentAudit, IncidentKind, RouteIncident};
 use iotmap_core::report::{pct, table1, TextTable};
@@ -23,10 +24,7 @@ use iotmap_traffic::{
 use iotmap_world::{BgpStreamEventKind, TrafficSimulator, WorldConfig};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::IpAddr;
-
-/// Optional artifact directory (`--out DIR`): tables are also written as
-/// CSV files there, one per experiment.
-static OUT_DIR: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
+use std::path::{Path, PathBuf};
 
 /// Borrow the shared traffic pass, or exit with a clear error if the
 /// dispatch table and `needs_traffic` ever disagree (better than a bare
@@ -64,16 +62,16 @@ fn prepare_or_die(
     })
 }
 
-/// Print a table and, when `--out` was given, persist it as CSV.
-fn emit_table(name: &str, t: &TextTable) {
+/// Print a table and, when `--out DIR` was given, persist it as CSV there.
+fn emit_table(out: Option<&str>, name: &str, t: &TextTable) {
     println!("{}", t.render());
-    if let Some(Some(dir)) = OUT_DIR.get().map(|d| d.as_ref()) {
+    if let Some(dir) = out {
         if let Err(e) = std::fs::create_dir_all(dir)
-            .and_then(|_| std::fs::write(dir.join(format!("{name}.csv")), t.to_csv()))
+            .and_then(|_| std::fs::write(Path::new(dir).join(format!("{name}.csv")), t.to_csv()))
         {
             eprintln!("# failed to write {name}.csv: {e}");
         } else {
-            eprintln!("# wrote {}/{name}.csv", dir.display());
+            eprintln!("# wrote {dir}/{name}.csv");
         }
     }
 }
@@ -100,10 +98,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    OUT_DIR
-        .set(opts.out_dir.clone().map(std::path::PathBuf::from))
-        .expect("OUT_DIR set once");
-
     // Worker-thread budget for the parallel pipeline stages. Output is
     // byte-identical at any value; this only moves wall-clock time.
     iotmap_par::set_threads(opts.threads);
@@ -277,47 +271,48 @@ fn main() {
         None
     };
 
+    let out = opts.out_dir.as_deref();
     for name in selected {
         println!("\n================ {name} ================");
         match name {
-            "table1" => run_table1(&exp),
-            "fig3" => run_fig3(&exp),
-            "fig4" => run_fig4(&exp),
+            "table1" => run_table1(&exp, out),
+            "fig3" => run_fig3(&exp, out),
+            "fig4" => run_fig4(&exp, out),
             "vantage" => run_vantage(&exp, &config),
             "validation" => run_validation(&exp),
-            "shared" => run_shared(&exp),
-            "diversity" => run_diversity(&exp),
+            "shared" => run_shared(&exp, out),
+            "diversity" => run_diversity(&exp, out),
             "fig5" => {
                 let (contacts, _, _) = require_traffic(&traffic, name);
-                run_fig5(&exp, contacts);
+                run_fig5(&exp, contacts, out);
             }
             "fig6" => {
                 let (contacts, excluded, _) = require_traffic(&traffic, name);
-                run_fig6(&exp, contacts, excluded);
+                run_fig6(&exp, contacts, excluded, out);
             }
             "fig7" => {
                 let (contacts, excluded, _) = require_traffic(&traffic, name);
-                run_fig7(&exp, contacts, excluded);
+                run_fig7(&exp, contacts, excluded, out);
             }
             "fig8" => run_fig8(&exp, &require_traffic(&traffic, name).2),
             "fig9" => run_fig9(&exp, &require_traffic(&traffic, name).2),
-            "fig10" => run_fig10(&exp, &require_traffic(&traffic, name).2),
+            "fig10" => run_fig10(&exp, &require_traffic(&traffic, name).2, out),
             "fig11" => run_fig11(&exp, &require_traffic(&traffic, name).2),
             "fig12a" => run_fig12a(&require_traffic(&traffic, name).2),
-            "fig12b" => run_fig12b(&exp, &require_traffic(&traffic, name).2),
-            "fig12c" => run_fig12c(&require_traffic(&traffic, name).2),
+            "fig12b" => run_fig12b(&exp, &require_traffic(&traffic, name).2, out),
+            "fig12c" => run_fig12c(&require_traffic(&traffic, name).2, out),
             "fig13" => run_fig13(&require_traffic(&traffic, name).2),
             "fig14" => run_fig14(&require_traffic(&traffic, name).2),
             "fig15" | "fig16" | "outage-deps" => run_outage(&exp, name),
-            "ports-observed" => run_ports_observed(&exp),
-            "consistency" => run_consistency(&exp, &config),
-            "monitor" => run_monitor(&exp),
-            "ablation-coverage" => run_ablation_coverage(&config, opts.cache.as_deref()),
-            "ablation-hitlist" => run_ablation_hitlist(&config, opts.cache.as_deref()),
-            "robustness" => run_robustness(&config, opts.cache.as_deref()),
+            "ports-observed" => run_ports_observed(&exp, out),
+            "consistency" => run_consistency(&exp, &config, out),
+            "monitor" => run_monitor(&exp, out),
+            "ablation-coverage" => run_ablation_coverage(&config, opts.cache.as_deref(), out),
+            "ablation-hitlist" => run_ablation_hitlist(&config, opts.cache.as_deref(), out),
+            "robustness" => run_robustness(&config, opts.cache.as_deref(), out),
             "sec62-bgp" => run_sec62_bgp(&exp),
             "sec62-blocklist" => run_sec62_blocklist(&exp),
-            "cascade" => run_cascade(&exp),
+            "cascade" => run_cascade(&exp, out),
             _ => unreachable!(),
         }
     }
@@ -341,6 +336,30 @@ fn write_text(path: &std::path::Path, content: &str) {
     if let Err(e) = std::fs::write(path, content) {
         eprintln!("# failed to write {}: {e}", path.display());
         std::process::exit(1);
+    }
+}
+
+/// Write a bench report under `--out` (or the working directory); exit 1
+/// on failure.
+fn write_report(opts: &CliOptions, file: &str, report: &Value) {
+    let path = record::out_path(opts, file);
+    write_text(&path, &report.to_pretty());
+    eprintln!("# wrote {}", path.display());
+}
+
+/// Append `entry` to the perf history; return the history file and the
+/// last entry comparable to `entry` before it. Exit 1 on failure.
+fn append_history(opts: &CliOptions, entry: &Value) -> (PathBuf, Option<Value>) {
+    let path = record::history_path(opts);
+    match record::append_history(&path, entry) {
+        Ok(comparable) => {
+            eprintln!("# appended history to {}", path.display());
+            (path, comparable)
+        }
+        Err(e) => {
+            eprintln!("# failed to append {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -374,7 +393,7 @@ fn emit_observability(opts: &iotmap_bench::CliOptions, report: &iotmap_obs::RunR
 
 // ---------------------------------------------------------------- Table 1
 
-fn run_table1(exp: &Experiment) {
+fn run_table1(exp: &Experiment, out: Option<&str>) {
     let registry = PatternRegistry::paper_defaults();
     let sources = exp.sources();
     let mut rows = Vec::new();
@@ -383,12 +402,12 @@ fn run_table1(exp: &Experiment) {
         let fp = &exp.footprints[patterns.name];
         rows.push(Characterizer::row(patterns, disc, fp, &sources));
     }
-    emit_table("table1", &table1(&rows));
+    emit_table(out, "table1", &table1(&rows));
 }
 
 // ------------------------------------------------------------------ Fig 3
 
-fn run_fig3(exp: &Experiment) {
+fn run_fig3(exp: &Experiment, out: Option<&str>) {
     let mut t = TextTable::new(&[
         "Provider",
         "Family",
@@ -430,12 +449,12 @@ fn run_fig3(exp: &Experiment) {
             ]);
         }
     }
-    emit_table("fig3", &t);
+    emit_table(out, "fig3", &t);
 }
 
 // ------------------------------------------------------------------ Fig 4
 
-fn run_fig4(exp: &Experiment) {
+fn run_fig4(exp: &Experiment, out: Option<&str>) {
     let reference = Date::new(2022, 2, 28).epoch_days();
     let compares = [
         Date::new(2022, 3, 1).epoch_days(),
@@ -455,7 +474,7 @@ fn run_fig4(exp: &Experiment) {
             ]);
         }
     }
-    emit_table("fig4", &t);
+    emit_table(out, "fig4", &t);
 }
 
 // --------------------------------------------------------- §3.3 vantage
@@ -563,7 +582,7 @@ fn run_validation(exp: &Experiment) {
 
 // --------------------------------------------------------- §3.4 shared IPs
 
-fn run_shared(exp: &Experiment) {
+fn run_shared(exp: &Experiment, out: Option<&str>) {
     let registry = PatternRegistry::paper_defaults();
     let classifier = iotmap_core::SharedIpClassifier::new(&registry);
     let period = exp.world.config.study_period;
@@ -579,13 +598,13 @@ fn run_shared(exp: &Experiment) {
             shared.len().to_string(),
         ]);
     }
-    emit_table("shared", &t);
+    emit_table(out, "shared", &t);
     println!("(Google's HTTPS front and the Akamai-fronted Oracle share are the shared sets.)");
 }
 
 // --------------------------------------------------------- §4.3 diversity
 
-fn run_diversity(exp: &Experiment) {
+fn run_diversity(exp: &Experiment, out: Option<&str>) {
     let sources = exp.sources();
     let mut t = TextTable::new(&["Provider", "#AS", "#v4 prefixes", "#v6 IPs", "Anycast(doc)"]);
     let registry = PatternRegistry::paper_defaults();
@@ -610,12 +629,12 @@ fn run_diversity(exp: &Experiment) {
             if anycast { "yes" } else { "-" }.to_string(),
         ]);
     }
-    emit_table("diversity", &t);
+    emit_table(out, "diversity", &t);
 }
 
 // ------------------------------------------------------------------ Fig 5
 
-fn run_fig5(exp: &Experiment, contacts: &Contacts) {
+fn run_fig5(exp: &Experiment, contacts: &Contacts, out: Option<&str>) {
     let analysis = ScannerAnalysis::new(&exp.index, contacts);
     let thresholds = [10, 20, 50, 100, 200, 500, 1000];
     let mut t = TextTable::new(&["Threshold", "Lines flagged", "IPv4 visibility"]);
@@ -626,7 +645,7 @@ fn run_fig5(exp: &Experiment, contacts: &Contacts) {
             pct(p.v4_visibility),
         ]);
     }
-    emit_table("fig5", &t);
+    emit_table(out, "fig5", &t);
     println!(
         "at threshold {SCANNER_THRESHOLD}: v4 visibility {} | v6 visibility {} (paper: ~28% / ~51%)",
         pct(analysis.v4_visibility(SCANNER_THRESHOLD)),
@@ -636,7 +655,7 @@ fn run_fig5(exp: &Experiment, contacts: &Contacts) {
 
 // ------------------------------------------------------------------ Fig 6
 
-fn run_fig6(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
+fn run_fig6(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>, out: Option<&str>) {
     let vis = visibility_per_provider(&exp.index, contacts, excluded);
     let mut rows: Vec<_> = vis.iter().collect();
     rows.sort_by_key(|v| exp.label(&v.provider));
@@ -649,12 +668,12 @@ fn run_fig6(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
             v.lines.to_string(),
         ]);
     }
-    emit_table("fig6", &t);
+    emit_table(out, "fig6", &t);
 }
 
 // ------------------------------------------------------------------ Fig 7
 
-fn run_fig7(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
+fn run_fig7(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>, out: Option<&str>) {
     // Restricted map: what certificates alone would have found.
     let mut restricted: HashMap<String, HashSet<IpAddr>> = HashMap::new();
     for (name, disc) in exp.discovery.per_provider() {
@@ -669,7 +688,7 @@ fn run_fig7(exp: &Experiment, contacts: &Contacts, excluded: &HashSet<LineId>) {
     for (name, decrease) in rows {
         t.row(vec![exp.label(&name).to_string(), pct(decrease)]);
     }
-    emit_table("fig7", &t);
+    emit_table(out, "fig7", &t);
     println!("(paper: T4, D6, T2, D3 lose almost all lines; two of these rely on SNI)");
 }
 
@@ -749,7 +768,7 @@ fn run_fig9(exp: &Experiment, report: &iotmap_traffic::AnalysisReport) {
     }
 }
 
-fn run_fig10(exp: &Experiment, report: &iotmap_traffic::AnalysisReport) {
+fn run_fig10(exp: &Experiment, report: &iotmap_traffic::AnalysisReport, out: Option<&str>) {
     let mut t = TextTable::new(&["Platform", "Downstream/Upstream"]);
     let mut rows: Vec<(String, f64)> = report
         .providers()
@@ -760,7 +779,7 @@ fn run_fig10(exp: &Experiment, report: &iotmap_traffic::AnalysisReport) {
     for (p, ratio) in rows {
         t.row(vec![exp.label(&p).to_string(), format!("{ratio:.2}")]);
     }
-    emit_table("fig10", &t);
+    emit_table(out, "fig10", &t);
     println!("(paper: ratios range from <0.33 to >3)");
 }
 
@@ -802,7 +821,7 @@ fn run_fig12a(report: &iotmap_traffic::AnalysisReport) {
     println!("(paper: >99% of lines exchange <10 MB/day in both directions)");
 }
 
-fn run_fig12b(exp: &Experiment, report: &iotmap_traffic::AnalysisReport) {
+fn run_fig12b(exp: &Experiment, report: &iotmap_traffic::AnalysisReport, out: Option<&str>) {
     let mut t = TextTable::new(&["Platform", "Line-days", "P(<=10MB)", "Median"]);
     let mut rows: Vec<&String> = report.providers().iter().collect();
     rows.sort_by_key(|p| exp.label(p));
@@ -820,10 +839,10 @@ fn run_fig12b(exp: &Experiment, report: &iotmap_traffic::AnalysisReport) {
             iotmap_core::report::bytes_h(e.median()),
         ]);
     }
-    emit_table("fig12b", &t);
+    emit_table(out, "fig12b", &t);
 }
 
-fn run_fig12c(report: &iotmap_traffic::AnalysisReport) {
+fn run_fig12c(report: &iotmap_traffic::AnalysisReport, out: Option<&str>) {
     let mut t = TextTable::new(&["Port", "Line-days", "P(<=10MB)", "P(100MB..1GB)", "Median"]);
     for (port, _) in report.top_ports(7) {
         let e = report.fig12c_ecdf(port);
@@ -838,7 +857,7 @@ fn run_fig12c(report: &iotmap_traffic::AnalysisReport) {
             iotmap_core::report::bytes_h(e.median()),
         ]);
     }
-    emit_table("fig12c", &t);
+    emit_table(out, "fig12c", &t);
     println!("(paper: only TCP/5671 shows ~18% of lines at 100MB–1GB/day, at a single provider)");
 }
 
@@ -991,7 +1010,7 @@ fn run_outage(exp: &Experiment, which: &str) {
 
 // ---------------------------------------------------- §4.4 observed ports
 
-fn run_ports_observed(exp: &Experiment) {
+fn run_ports_observed(exp: &Experiment, out: Option<&str>) {
     let registry = PatternRegistry::paper_defaults();
     let mut t = TextTable::new(&[
         "Provider",
@@ -1031,13 +1050,13 @@ fn run_ports_observed(exp: &Experiment) {
             },
         ]);
     }
-    emit_table("ports-observed", &t);
+    emit_table(out, "ports-observed", &t);
     println!("(cert-blind = listening ports a TLS-only scan can never identify — §4.4's point)");
 }
 
 // ------------------------------------------- §3.1 Dec-vs-Feb consistency
 
-fn run_consistency(exp: &Experiment, config: &WorldConfig) {
+fn run_consistency(exp: &Experiment, config: &WorldConfig, out: Option<&str>) {
     // The paper collected preliminary (IPv4-only) results for Dec 3–10,
     // 2021 and kept the February week because "the results are consistent".
     eprintln!("# rerunning collection + discovery for the December week…");
@@ -1073,7 +1092,7 @@ fn run_consistency(exp: &Experiment, config: &WorldConfig) {
             pct(inter as f64 / union as f64),
         ]);
     }
-    emit_table("consistency", &t);
+    emit_table(out, "consistency", &t);
     println!(
         "(paper §3.1: the December and February collections are consistent;          cloud-hosted fleets churn between quarters, dedicated ones do not)"
     );
@@ -1089,7 +1108,7 @@ fn coverage_point(config: WorldConfig, cache: Option<&str>) -> (usize, usize) {
     (v4, v6)
 }
 
-fn run_ablation_coverage(config: &WorldConfig, cache: Option<&str>) {
+fn run_ablation_coverage(config: &WorldConfig, cache: Option<&str>, out: Option<&str>) {
     // §3.6: "even DNSDB has its own limitations, e.g., it does not have
     // full coverage of all DNS requests." Sweep the sensor coverage.
     let mut t = TextTable::new(&["Passive-DNS coverage", "Discovered v4", "Discovered v6"]);
@@ -1106,11 +1125,11 @@ fn run_ablation_coverage(config: &WorldConfig, cache: Option<&str>) {
             v6.to_string(),
         ]);
     }
-    emit_table("ablation-coverage", &t);
+    emit_table(out, "ablation-coverage", &t);
     println!("(discovery degrades gracefully: certificates and active DNS backfill most losses)");
 }
 
-fn run_ablation_hitlist(config: &WorldConfig, cache: Option<&str>) {
+fn run_ablation_hitlist(config: &WorldConfig, cache: Option<&str>, out: Option<&str>) {
     // §3.6: "our ability to discover IPv6 addresses is directly influenced
     // by the coverage of the chosen IPv6 hitlists."
     let mut t = TextTable::new(&["Hitlist coverage", "Discovered v6", "v6 via scans only"]);
@@ -1140,18 +1159,17 @@ fn run_ablation_hitlist(config: &WorldConfig, cache: Option<&str>) {
             scan_only.to_string(),
         ]);
     }
-    emit_table("ablation-hitlist", &t);
+    emit_table(out, "ablation-hitlist", &t);
     println!("(IPv6 discovery scales with hitlist quality — §3.6's stated limitation)");
 }
 
-fn run_robustness(config: &WorldConfig, cache: Option<&str>) {
+fn run_robustness(config: &WorldConfig, cache: Option<&str>, out: Option<&str>) {
     use iotmap_faults::FaultPlan;
     // The §3.3/§3.4 blind spots made operational: rerun the complete
     // methodology (discovery → footprints → traffic) under seeded fault
     // plans of increasing severity and show graceful degradation —
     // coverage shrinks monotonically, but every source keeps
     // contributing and the run always completes.
-    let prev = iotmap_obs::current_recorder();
     let mut t = TextTable::new(&[
         "Faults",
         "Discovered v4",
@@ -1163,11 +1181,11 @@ fn run_robustness(config: &WorldConfig, cache: Option<&str>) {
     for name in ["none", "light", "heavy"] {
         eprintln!("# robustness sweep: {name} faults…");
         let plan = FaultPlan::preset(name).expect("built-in preset");
-        let registry = std::rc::Rc::new(iotmap_obs::Registry::new());
-        iotmap_obs::install(registry.clone());
-        let exp = prepare_or_die(config, plan, cache);
-        let (report, _) = exp.full_traffic_analysis(config.study_period);
-        iotmap_obs::uninstall();
+        let ((exp, report), run) = iotmap_obs::capture(|| {
+            let exp = prepare_or_die(config, plan, cache);
+            let (report, _) = exp.full_traffic_analysis(config.study_period);
+            (exp, report)
+        });
         let down: u64 = report
             .providers()
             .iter()
@@ -1178,7 +1196,7 @@ fn run_robustness(config: &WorldConfig, cache: Option<&str>) {
             .per_provider()
             .filter(|(_, d)| !d.ips.is_empty())
             .count();
-        let completeness = registry.report().fault_completeness();
+        let completeness = run.fault_completeness();
         let degraded = if completeness.is_empty() {
             "-".to_string()
         } else {
@@ -1197,11 +1215,7 @@ fn run_robustness(config: &WorldConfig, cache: Option<&str>) {
             degraded,
         ]);
     }
-    match prev {
-        Some(r) => iotmap_obs::install(r),
-        None => iotmap_obs::uninstall(),
-    }
-    emit_table("robustness", &t);
+    emit_table(out, "robustness", &t);
     println!(
         "(heavier fault plans shrink coverage monotonically; every degraded source still contributes)"
     );
@@ -1209,7 +1223,7 @@ fn run_robustness(config: &WorldConfig, cache: Option<&str>) {
 
 // ------------------------------------------- §7 continuous monitoring
 
-fn run_monitor(exp: &Experiment) {
+fn run_monitor(exp: &Experiment, out: Option<&str>) {
     use iotmap_core::{FootprintInference, Monitor, MonitoringWindow};
     // Capture the December window, then the February window, and report
     // the longitudinal findings — the §7 "continuous monitoring" mode.
@@ -1256,7 +1270,7 @@ fn run_monitor(exp: &Experiment) {
             f.detail.clone(),
         ]);
     }
-    emit_table("monitor", &t);
+    emit_table(out, "monitor", &t);
     println!("(country-level changes are the compliance-relevant alerts; churn is routine)");
 }
 
@@ -1328,7 +1342,7 @@ fn run_sec62_blocklist(exp: &Experiment) {
 
 // ------------------------------------------------------------- §7 cascade
 
-fn run_cascade(exp: &Experiment) {
+fn run_cascade(exp: &Experiment, out: Option<&str>) {
     let sources = exp.sources();
     let orgs = [
         "Amazon Web Services",
@@ -1355,67 +1369,11 @@ fn run_cascade(exp: &Experiment) {
         cells.extend(row);
         t.row(cells);
     }
-    emit_table("cascade", &t);
+    emit_table(out, "cascade", &t);
     println!("(share of each backend's discovered footprint lost if the cloud operator fails)");
 }
 
 // ----------------------------------------------------------- exp bench
-
-/// Extract a numeric field from a bench report. The report is flat
-/// `"key": value` JSON written by [`run_bench`], so a scan is enough —
-/// no JSON parser dependency.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract an unsigned integer field exactly. Identity fields (seed,
-/// thread count, scale, days) go through this, not [`json_f64`]: an
-/// `f64` round-trip merges distinct seeds above 2^53.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Whether a perf-history line was written by `experiment` under the
-/// same preset, seed, thread budget and fault plan as this run. Entries
-/// predating the "experiment" tag are bench lines.
-fn history_matches(line: &str, experiment: &str, opts: &iotmap_bench::CliOptions) -> bool {
-    json_str(line, "experiment").unwrap_or_else(|| "bench".to_string()) == experiment
-        && json_str(line, "preset").as_deref() == Some(opts.preset.as_str())
-        && json_u64(line, "seed") == Some(opts.seed)
-        && json_u64(line, "threads") == Some(opts.threads as u64)
-        && json_str(line, "faults").as_deref() == Some(opts.faults.as_str())
-}
-
-/// Extract a string field from flat `"key": "value"` JSON.
-fn json_str(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let inner = rest.strip_prefix('"')?;
-    Some(inner[..inner.find('"')?].to_string())
-}
-
-/// Extract the body of a one-level `"key": { ... }` object. The bench
-/// stage maps hold only numeric values, so the first `}` closes it.
-fn json_obj<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let inner = rest.strip_prefix('{')?;
-    Some(&inner[..inner.find('}')?])
-}
 
 /// Collect every `discovery.*` span (at any depth) as `(name, ms)`.
 fn discovery_stages(nodes: &[iotmap_obs::SpanNode], out: &mut Vec<(String, f64)>) {
@@ -1451,19 +1409,6 @@ fn stage_key(name: &str) -> &str {
         .unwrap_or(name)
 }
 
-/// The working tree's abbreviated git revision, for perf-history lines.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Time prepare, the single-pass discovery engine and the replicated
 /// ISP pass over one prepared world, and write `BENCH_pipeline.json`.
 /// Only library code is timed; the per-provider fan-out reference
@@ -1483,17 +1428,11 @@ fn run_bench(
     // The prepare pass runs instrumented: its span tree is the
     // `prepare_stages_ms` breakdown. Span overhead is one flag check plus
     // a clock read per stage, far below timing noise.
-    let prep_prev = iotmap_obs::current_recorder();
-    let prep_registry = std::rc::Rc::new(iotmap_obs::Registry::new());
-    iotmap_obs::install(prep_registry.clone());
-    let t0 = std::time::Instant::now();
-    let exp = prepare_or_die(config, faults.clone(), opts.cache.as_deref());
-    let wall_prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
-    iotmap_obs::uninstall();
-    if let Some(r) = prep_prev {
-        iotmap_obs::install(r);
-    }
-    let prep_report = prep_registry.report();
+    let ((exp, wall_prepare_ms), prep_report) = iotmap_obs::capture(|| {
+        let t0 = std::time::Instant::now();
+        let exp = prepare_or_die(config, faults.clone(), opts.cache.as_deref());
+        (exp, t0.elapsed().as_secs_f64() * 1e3)
+    });
     // The pipeline's two phases each carry a span; report their summed
     // own-time (children sum to each by construction) and merge both
     // phases' stage children into one breakdown. Fall back to the wall
@@ -1546,21 +1485,14 @@ fn run_bench(
 
     // One more instrumented engine pass for the per-stage breakdown and
     // the candidate/verified counters (timed passes run uninstrumented).
-    let prev = iotmap_obs::current_recorder();
-    let registry = std::rc::Rc::new(iotmap_obs::Registry::new());
-    iotmap_obs::install(registry.clone());
-    let _ = pipeline.run(&sources, period);
-    iotmap_obs::uninstall();
-    if let Some(r) = prev {
-        iotmap_obs::install(r);
-    }
-    let report = registry.report();
+    let (_, report) = iotmap_obs::capture(|| pipeline.run(&sources, period));
     let mut stages = Vec::new();
     discovery_stages(&report.spans, &mut stages);
-    let counters: Vec<(&String, &u64)> = report
+    let counters: Vec<(&str, Value)> = report
         .counters
         .iter()
         .filter(|(k, _)| k.starts_with("discovery."))
+        .map(|(k, v)| (k.as_str(), (*v).into()))
         .collect();
 
     // `records_per_sec` derives from ONE documented timing source: the
@@ -1589,69 +1521,35 @@ fn run_bench(
         std::process::exit(1);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"iotmap-bench/pipeline-v4\",\n");
-    json.push_str(&format!("  \"preset\": \"{}\",\n", opts.preset));
-    json.push_str(&format!("  \"seed\": {},\n", config.seed));
-    json.push_str(&format!("  \"threads\": {},\n", opts.threads));
-    json.push_str(&format!("  \"faults\": \"{}\",\n", opts.faults));
-    json.push_str(&format!("  \"cache\": \"{cache_tag}\",\n"));
-    json.push_str(&format!("  \"scale\": {},\n", opts.scale));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"records\": {records},\n"));
-    json.push_str(&format!("  \"discovered_ips\": {engine_ips},\n"));
-    json.push_str(&format!("  \"prepare_ms\": {prepare_ms:.1},\n"));
-    json.push_str("  \"prepare_stages_ms\": {\n");
-    for (i, (name, ms)) in prepare_stages.iter().enumerate() {
-        let comma = if i + 1 < prepare_stages.len() {
-            ","
-        } else {
-            ""
-        };
-        json.push_str(&format!("    \"{name}\": {ms:.3}{comma}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"engine_ms\": {engine_ms:.3},\n"));
-    json.push_str(&format!("  \"engine_span_ms\": {engine_span_ms:.3},\n"));
-    json.push_str(&format!("  \"records_per_sec\": {records_per_sec:.0},\n"));
-    json.push_str(&format!("  \"peak_rss_bytes\": {peak_rss},\n"));
-    json.push_str("  \"scaled\": {\n");
-    json.push_str(&format!("    \"isp_replicas\": {},\n", scaled.isp_replicas));
-    json.push_str(&format!("    \"isp_lines\": {},\n", scaled.isp_lines));
-    json.push_str(&format!("    \"isp_ms\": {:.3},\n", scaled.isp_ms));
-    json.push_str(&format!(
-        "    \"isp_total_dn_bytes\": {}\n",
-        scaled.isp_total_dn_bytes
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"stages_ms\": {\n");
-    for (i, (name, ms)) in stages.iter().enumerate() {
-        let comma = if i + 1 < stages.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ms:.3}{comma}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"counters\": {\n");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        let comma = if i + 1 < counters.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {v}{comma}\n"));
-    }
-    json.push_str("  }\n}\n");
-
-    let path = match &opts.out_dir {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("# failed to create {dir}: {e}");
-                std::process::exit(1);
-            }
-            std::path::Path::new(dir).join("BENCH_pipeline.json")
-        }
-        None => std::path::PathBuf::from("BENCH_pipeline.json"),
-    };
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("# failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
+    let report_record = record::report(
+        "iotmap-bench/pipeline-v4",
+        opts,
+        vec![
+            ("cache", cache_tag.into()),
+            ("scale", opts.scale.into()),
+            ("iters", iters.into()),
+            ("records", records.into()),
+            ("discovered_ips", engine_ips.into()),
+            ("prepare_ms", Value::fixed(prepare_ms, 1)),
+            ("prepare_stages_ms", Value::fixed_map(&prepare_stages, 3)),
+            ("engine_ms", Value::fixed(engine_ms, 3)),
+            ("engine_span_ms", Value::fixed(engine_span_ms, 3)),
+            ("records_per_sec", Value::fixed(records_per_sec, 0)),
+            ("peak_rss_bytes", peak_rss.into()),
+            (
+                "scaled",
+                Value::object([
+                    ("isp_replicas", scaled.isp_replicas.into()),
+                    ("isp_lines", scaled.isp_lines.into()),
+                    ("isp_ms", Value::fixed(scaled.isp_ms, 3)),
+                    ("isp_total_dn_bytes", scaled.isp_total_dn_bytes.into()),
+                ]),
+            ),
+            ("stages_ms", Value::fixed_map(&stages, 3)),
+            ("counters", Value::object(counters)),
+        ],
+    );
+    write_report(opts, "BENCH_pipeline.json", &report_record);
 
     println!(
         "discovery bench (preset {}, seed {}, threads {}, faults {}, cache {cache_tag})",
@@ -1680,7 +1578,6 @@ fn run_bench(
         peak_rss as f64 / (1024.0 * 1024.0),
         SCALED_RSS_CEILING_BYTES >> 20
     );
-    eprintln!("# wrote {}", path.display());
 
     // Chrome trace: the instrumented prepare pass and the instrumented
     // engine pass, concatenated into one timeline.
@@ -1693,103 +1590,41 @@ fn run_bench(
 
     // Perf history: append one line per bench run, and (with --gate)
     // compare against the last entry from an identical configuration.
-    let history_path = opts
-        .history
-        .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| match &opts.out_dir {
-            Some(dir) => std::path::Path::new(dir).join("BENCH_history.jsonl"),
-            None => std::path::PathBuf::from("BENCH_history.jsonl"),
-        });
-    let previous = std::fs::read_to_string(&history_path).unwrap_or_default();
-    let comparable = previous.lines().rev().find(|line| {
-        history_matches(line, "bench", opts)
-            // Entries predating the world cache carry no tag — they were
-            // cache-less runs, so they compare against "none" only.
-            && json_str(line, "cache").unwrap_or_else(|| "none".to_string()) == cache_tag
-            // Entries predating the scaled phase ran at native size.
-            && json_u64(line, "scale").unwrap_or(1) == opts.scale
-    });
-
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let fmt_map = |pairs: &[(String, f64)]| {
-        let cells: Vec<String> = pairs
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v:.3}"))
-            .collect();
-        cells.join(",")
-    };
-    let line = format!(
-        "{{\"schema\":\"iotmap-bench/history-v1\",\"unix_time\":{unix_time},\
-         \"git\":\"{}\",\"preset\":\"{}\",\"seed\":{},\"threads\":{},\"faults\":\"{}\",\
-         \"cache\":\"{cache_tag}\",\"scale\":{},\
-         \"records\":{records},\"discovered_ips\":{engine_ips},\
-         \"prepare_ms\":{prepare_ms:.1},\"engine_ms\":{engine_ms:.3},\
-         \"engine_span_ms\":{engine_span_ms:.3},\
-         \"records_per_sec\":{records_per_sec:.0},\
-         \"scaled_isp_ms\":{:.3},\
-         \"peak_rss_bytes\":{peak_rss},\
-         \"prepare_stages_ms\":{{{}}},\"stages_ms\":{{{}}}}}\n",
-        git_rev(),
-        opts.preset,
-        config.seed,
-        opts.threads,
-        opts.faults,
-        opts.scale,
-        scaled.isp_ms,
-        fmt_map(&prepare_stages),
-        fmt_map(&stages),
+    let entry = record::history_entry(
+        "bench",
+        opts,
+        vec![
+            ("cache", cache_tag.into()),
+            ("scale", opts.scale.into()),
+            ("records", records.into()),
+            ("discovered_ips", engine_ips.into()),
+            ("prepare_ms", Value::fixed(prepare_ms, 1)),
+            ("engine_ms", Value::fixed(engine_ms, 3)),
+            ("engine_span_ms", Value::fixed(engine_span_ms, 3)),
+            ("records_per_sec", Value::fixed(records_per_sec, 0)),
+            ("scaled_isp_ms", Value::fixed(scaled.isp_ms, 3)),
+            ("peak_rss_bytes", peak_rss.into()),
+            ("prepare_stages_ms", Value::fixed_map(&prepare_stages, 3)),
+            ("stages_ms", Value::fixed_map(&stages, 3)),
+        ],
     );
-    let appended = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(&history_path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match appended {
-        Ok(()) => eprintln!("# appended history to {}", history_path.display()),
-        Err(e) => {
-            eprintln!("# failed to append {}: {e}", history_path.display());
-            std::process::exit(1);
-        }
-    }
+    let (history, comparable) = append_history(opts, &entry);
 
     if opts.gate {
         match comparable {
             None => println!(
                 "  history gate         : no comparable entry in {} — pass",
-                history_path.display()
+                history.display()
             ),
             Some(prev) => {
-                // Tracked stages: prepare and engine always; per-stage
-                // entries only above a 10ms noise floor (sub-ms stages
-                // jitter past any ratio threshold).
-                let mut regressions: Vec<String> = Vec::new();
-                let mut check = |label: &str, prev_ms: Option<f64>, cur_ms: f64, floor: f64| {
-                    if let Some(p) = prev_ms {
-                        if p >= floor && cur_ms > p * 1.25 {
-                            regressions.push(format!(
-                                "{label}: {cur_ms:.1} ms vs {p:.1} ms ({:+.0}%)",
-                                (cur_ms / p - 1.0) * 100.0
-                            ));
-                        }
-                    }
-                };
-                check("prepare_ms", json_f64(prev, "prepare_ms"), prepare_ms, 0.0);
-                check("engine_ms", json_f64(prev, "engine_ms"), engine_ms, 0.0);
-                if let Some(obj) = json_obj(prev, "prepare_stages_ms") {
-                    for (name, cur) in &prepare_stages {
-                        check(&format!("prepare.{name}"), json_f64(obj, name), *cur, 10.0);
-                    }
-                }
-                if let Some(obj) = json_obj(prev, "stages_ms") {
-                    for (name, cur) in &stages {
-                        check(name, json_f64(obj, name), *cur, 10.0);
-                    }
-                }
-                let prev_git = json_str(prev, "git").unwrap_or_else(|| "?".to_string());
+                let regressions = record::bench_regressions(
+                    &prev,
+                    prepare_ms,
+                    engine_ms,
+                    &prepare_stages,
+                    &stages,
+                );
+                let prev_git = record::entry_git(&prev);
                 if regressions.is_empty() {
                     println!("  history gate         : ok (vs entry at git {prev_git})");
                 } else {
@@ -2253,106 +2088,55 @@ fn run_longitudinal(
         opts.days
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"iotmap-bench/longitudinal-v1\",\n");
-    json.push_str(&format!("  \"preset\": \"{}\",\n", opts.preset));
-    json.push_str(&format!("  \"seed\": {},\n", config.seed));
-    json.push_str(&format!("  \"threads\": {},\n", opts.threads));
-    json.push_str(&format!("  \"faults\": \"{}\",\n", opts.faults));
-    json.push_str(&format!("  \"days\": {},\n", opts.days));
-    json.push_str(&format!("  \"bootstrap_ms\": {bootstrap_ms:.1},\n"));
-    json.push_str("  \"per_day\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"day\": {}, \"date\": \"{}\", \"scan_records\": {}, \
-             \"certificates\": {}, \"pdns_rows_revealed\": {}, \"discovered_ips\": {}, \
-             \"incremental_ms\": {:.3}, \"full_ms\": {:.3}, \"ratio\": {:.4}}}{comma}\n",
-            i + 1,
-            r.date,
-            r.scan_records,
-            r.certificates,
-            r.pdns_rows,
-            r.discovered_ips,
-            r.incremental_ms,
-            r.full_ms,
-            r.incremental_ms / r.full_ms,
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"incremental_total_ms\": {incremental_total_ms:.3},\n"
-    ));
-    json.push_str(&format!("  \"full_total_ms\": {full_total_ms:.3},\n"));
-    json.push_str(&format!("  \"ratio\": {ratio:.4}\n"));
-    json.push_str("}\n");
-
-    let path = match &opts.out_dir {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("# failed to create {dir}: {e}");
-                std::process::exit(1);
-            }
-            std::path::Path::new(dir).join("BENCH_longitudinal.json")
-        }
-        None => std::path::PathBuf::from("BENCH_longitudinal.json"),
-    };
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("# failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {}", path.display());
+    let per_day = rows.iter().enumerate().map(|(i, r)| {
+        Value::object([
+            ("day", (i + 1).into()),
+            ("date", r.date.to_string().into()),
+            ("scan_records", r.scan_records.into()),
+            ("certificates", r.certificates.into()),
+            ("pdns_rows_revealed", r.pdns_rows.into()),
+            ("discovered_ips", r.discovered_ips.into()),
+            ("incremental_ms", Value::fixed(r.incremental_ms, 3)),
+            ("full_ms", Value::fixed(r.full_ms, 3)),
+            ("ratio", Value::fixed(r.incremental_ms / r.full_ms, 4)),
+        ])
+    });
+    let report = record::report(
+        "iotmap-bench/longitudinal-v1",
+        opts,
+        vec![
+            ("days", opts.days.into()),
+            ("bootstrap_ms", Value::fixed(bootstrap_ms, 1)),
+            ("per_day", Value::Arr(per_day.collect())),
+            (
+                "incremental_total_ms",
+                Value::fixed(incremental_total_ms, 3),
+            ),
+            ("full_total_ms", Value::fixed(full_total_ms, 3)),
+            ("ratio", Value::fixed(ratio, 4)),
+        ],
+    );
+    write_report(opts, "BENCH_longitudinal.json", &report);
 
     // Perf history: same file as bench, tagged so the two modes only ever
     // compare against their own entries.
-    let history_path = opts
-        .history
-        .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| match &opts.out_dir {
-            Some(dir) => std::path::Path::new(dir).join("BENCH_history.jsonl"),
-            None => std::path::PathBuf::from("BENCH_history.jsonl"),
-        });
-    let previous = std::fs::read_to_string(&history_path).unwrap_or_default();
-    let comparable = previous.lines().rev().find(|line| {
-        history_matches(line, "longitudinal", opts)
-            && json_u64(line, "days") == Some(opts.days as u64)
-    });
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"schema\":\"iotmap-bench/history-v1\",\"experiment\":\"longitudinal\",\
-         \"unix_time\":{unix_time},\"git\":\"{}\",\"preset\":\"{}\",\"seed\":{},\
-         \"threads\":{},\"faults\":\"{}\",\"days\":{},\"bootstrap_ms\":{bootstrap_ms:.1},\
-         \"incremental_ms\":{incremental_total_ms:.3},\"full_ms\":{full_total_ms:.3},\
-         \"ratio\":{ratio:.4}}}\n",
-        git_rev(),
-        opts.preset,
-        config.seed,
-        opts.threads,
-        opts.faults,
-        opts.days,
+    let entry = record::history_entry(
+        "longitudinal",
+        opts,
+        vec![
+            ("days", opts.days.into()),
+            ("bootstrap_ms", Value::fixed(bootstrap_ms, 1)),
+            ("incremental_ms", Value::fixed(incremental_total_ms, 3)),
+            ("full_ms", Value::fixed(full_total_ms, 3)),
+            ("ratio", Value::fixed(ratio, 4)),
+        ],
     );
-    let appended = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(&history_path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match appended {
-        Ok(()) => eprintln!("# appended history to {}", history_path.display()),
-        Err(e) => {
-            eprintln!("# failed to append {}: {e}", history_path.display());
-            std::process::exit(1);
-        }
-    }
+    let (history, comparable) = append_history(opts, &entry);
 
     if opts.gate {
         // The tentpole's cost contract: rolling a day forward must cost
         // less than a quarter of re-running the merged corpus.
-        if ratio >= 0.25 {
+        if record::cost_gate_fails(ratio) {
             eprintln!(
                 "# longitudinal: gate FAILED — mean incremental cost is {:.1}% of a full \
                  re-run (must stay below 25%)",
@@ -2363,20 +2147,17 @@ fn run_longitudinal(
         match comparable {
             None => println!(
                 "  history gate         : no comparable entry in {} — pass",
-                history_path.display()
+                history.display()
             ),
             Some(prev) => {
-                let prev_git = json_str(prev, "git").unwrap_or_else(|| "?".to_string());
-                let prev_ms = json_f64(prev, "incremental_ms").unwrap_or(f64::INFINITY);
-                if incremental_total_ms > prev_ms * 1.25 {
-                    eprintln!(
-                        "# longitudinal: REGRESSION — incremental total {incremental_total_ms:.1} \
-                         ms vs {prev_ms:.1} ms ({:+.0}%) at git {prev_git}",
-                        (incremental_total_ms / prev_ms - 1.0) * 100.0
-                    );
+                if let Some(r) = record::incremental_regression(&prev, incremental_total_ms) {
+                    eprintln!("# longitudinal: REGRESSION — {r}");
                     std::process::exit(1);
                 }
-                println!("  history gate         : ok (vs entry at git {prev_git})");
+                println!(
+                    "  history gate         : ok (vs entry at git {})",
+                    record::entry_git(&prev)
+                );
             }
         }
         println!(
@@ -2594,77 +2375,49 @@ fn run_scenario(
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"iotmap-bench/scenarios-v1\",\n");
-    json.push_str(&format!("  \"preset\": \"{}\",\n", opts.preset));
-    json.push_str(&format!("  \"seed\": {},\n", config.seed));
-    json.push_str(&format!("  \"threads\": {},\n", opts.threads));
-    json.push_str(&format!("  \"faults\": \"{}\",\n", opts.faults));
-    json.push_str(&format!(
-        "  \"baseline\": {{\"providers_discovered\": {}, \"discovered_ips\": {}, \
-         \"run_ms\": {baseline_ms:.3}}},\n",
-        discovered_providers(&baseline),
-        baseline.discovery.all_ips().len()
-    ));
-    json.push_str("  \"scenarios\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"file\": \"{}\", \"fingerprint\": \"{:016x}\", \
-             \"events\": {}, \"skipped_events\": {}, \"providers_discovered\": {}, \
-             \"discovered_ips\": {}, \"deterministic\": {}, \"run_ms\": {:.3}, \
-             \"resilience\": [",
-            row.name,
-            row.file,
-            row.fingerprint,
-            row.events,
-            row.skipped,
-            row.providers_discovered,
-            row.discovered_ips,
-            row.deterministic,
-            row.run_ms,
-        ));
-        let mut first = true;
-        for ev in &row.resilience {
-            for p in &ev.providers {
-                if !first {
-                    json.push_str(", ");
-                }
-                first = false;
-                json.push_str(&format!(
-                    "{{\"event\": \"{}\", \"provider\": \"{}\", \"precision_delta_pm\": {}, \
-                     \"recall_delta_pm\": {}, \"footprint_stability_pm\": {}, \
-                     \"discovered\": {}}}",
-                    ev.label,
-                    p.provider,
-                    p.precision_delta_pm,
-                    p.recall_delta_pm,
-                    p.footprint_stability_pm,
-                    p.discovered,
-                ));
-            }
-        }
-        json.push_str(&format!("]}}{comma}\n"));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-
-    let path = match &opts.out_dir {
-        Some(dir) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("# failed to create {dir}: {e}");
-                std::process::exit(1);
-            }
-            std::path::Path::new(dir).join("BENCH_scenarios.json")
-        }
-        None => std::path::PathBuf::from("BENCH_scenarios.json"),
-    };
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("# failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("# wrote {}", path.display());
+    let scenario_rows = rows.iter().map(|row| {
+        let resilience = row.resilience.iter().flat_map(|ev| {
+            ev.providers.iter().map(|p| {
+                Value::object([
+                    ("event", ev.label.as_str().into()),
+                    ("provider", p.provider.as_str().into()),
+                    ("precision_delta_pm", p.precision_delta_pm.into()),
+                    ("recall_delta_pm", p.recall_delta_pm.into()),
+                    ("footprint_stability_pm", p.footprint_stability_pm.into()),
+                    ("discovered", p.discovered.into()),
+                ])
+            })
+        });
+        Value::object([
+            ("name", row.name.as_str().into()),
+            ("file", row.file.as_str().into()),
+            ("fingerprint", format!("{:016x}", row.fingerprint).into()),
+            ("events", row.events.into()),
+            ("skipped_events", row.skipped.into()),
+            ("providers_discovered", row.providers_discovered.into()),
+            ("discovered_ips", row.discovered_ips.into()),
+            ("deterministic", Value::Bool(row.deterministic)),
+            ("run_ms", Value::fixed(row.run_ms, 3)),
+            ("resilience", Value::Arr(resilience.collect())),
+        ])
+    });
+    let baseline_record = Value::object([
+        (
+            "providers_discovered",
+            discovered_providers(&baseline).into(),
+        ),
+        ("discovered_ips", baseline.discovery.all_ips().len().into()),
+        ("run_ms", Value::fixed(baseline_ms, 3)),
+    ]);
+    let report = record::report(
+        "iotmap-bench/scenarios-v1",
+        opts,
+        vec![
+            ("baseline", baseline_record),
+            ("scenarios", Value::Arr(scenario_rows.collect())),
+        ],
+    );
+    write_report(opts, "BENCH_scenarios.json", &report);
 
     if instrumented {
         iotmap_obs::uninstall();
@@ -2734,17 +2487,12 @@ mod tests {
                  \"seed\":{seed},\"threads\":1,\"faults\":\"none\"}}"
             )
         };
-        assert_eq!(
-            json_f64(&line(9007199254740992), "seed"),
-            json_f64(&line(9007199254740993), "seed"),
-            "the two seeds must collide as f64 for this test to mean anything"
-        );
-        assert!(history_matches(&line(9007199254740993), "bench", &opts));
-        assert!(!history_matches(&line(9007199254740992), "bench", &opts));
-        assert!(!history_matches(
-            &line(9007199254740993),
-            "longitudinal",
-            &opts
-        ));
+        let matches = |line: String, experiment: &str| {
+            let current = record::history_entry(experiment, &opts, vec![]);
+            record::last_comparable(&line, &current).is_some()
+        };
+        assert!(matches(line(9007199254740993), "bench"));
+        assert!(!matches(line(9007199254740992), "bench"));
+        assert!(!matches(line(9007199254740993), "longitudinal"));
     }
 }

@@ -7,6 +7,8 @@
 //! dependency-free CLI parser. See `src/bin/exp.rs` for the experiment
 //! entry point.
 
+pub mod record;
+
 pub use iotmap::{Pipeline, RunArtifacts, SCANNER_THRESHOLD};
 
 use iotmap_faults::FaultPlan;

@@ -50,7 +50,7 @@ mod report;
 mod span;
 
 pub use metrics::{Histogram, HistogramSnapshot, Registry, DEFAULT_BUCKETS};
-pub use report::{EventResilienceRow, RunReport, SourceCompleteness, SpanNode};
+pub use report::{json_escape, EventResilienceRow, RunReport, SourceCompleteness, SpanNode};
 pub use span::SpanGuard;
 
 /// JSONL report format version written by [`RunReport::to_jsonl`]. v2
@@ -179,6 +179,21 @@ pub fn current_recorder() -> Option<Rc<dyn Recorder>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+/// Run `f` under a fresh [`Registry`] and return its result with the
+/// report of everything it recorded. The caller's recorder (or none) is
+/// reinstalled afterwards and sees none of `f`'s instrumentation.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, RunReport) {
+    let previous = current_recorder();
+    let registry = Rc::new(Registry::new());
+    install(registry.clone());
+    let out = f();
+    match previous {
+        Some(recorder) => install(recorder),
+        None => uninstall(),
+    }
+    (out, registry.report())
+}
+
 /// Fold a child worker's [`RunReport`] into this thread's recorder (a
 /// no-op when none is installed). The parallel execution layer calls
 /// this once per worker, in shard order, after the join — see
@@ -302,6 +317,31 @@ macro_rules! observe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn capture_restores_the_outer_recorder_untouched() {
+        let outer = Rc::new(Registry::new());
+        install(outer.clone());
+        count!("outer.before");
+        let (value, inner) = capture(|| {
+            count!("inner.items", 2);
+            7
+        });
+        count!("outer.after");
+        uninstall();
+        assert_eq!(value, 7);
+        assert_eq!(inner.counters.get("inner.items"), Some(&2));
+        assert!(!inner.counters.contains_key("outer.before"));
+        let outer = outer.report();
+        assert_eq!(outer.counters.get("outer.before"), Some(&1));
+        assert_eq!(outer.counters.get("outer.after"), Some(&1));
+        assert!(!outer.counters.contains_key("inner.items"));
+
+        // Without an outer recorder, capture leaves none installed.
+        let ((), inner) = capture(|| count!("inner.alone"));
+        assert!(!enabled());
+        assert_eq!(inner.counters.get("inner.alone"), Some(&1));
+    }
 
     #[test]
     fn disabled_by_default() {

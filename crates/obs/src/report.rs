@@ -58,7 +58,7 @@ pub(crate) fn fmt_nanos(nanos: u64) -> String {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -78,7 +78,6 @@ use iotmap_obs::{RunReport, ShardAttribution};
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 
 /// Quarantine budget for one sharded call: more than this many poisoned
 /// shards aborts the call instead of retrying them serially (systematic
@@ -283,18 +282,10 @@ fn run_shard<R>(instrumented: bool, body: impl FnOnce() -> R) -> (R, Option<RunR
     if !instrumented {
         return (body(), None);
     }
-    // Save and restore the caller's recorder: a quarantine retry runs on
-    // the calling thread, where the parent registry is installed (fresh
-    // worker threads have none, so this is a no-op for them).
-    let previous = iotmap_obs::current_recorder();
-    let registry = Rc::new(iotmap_obs::Registry::new());
-    iotmap_obs::install(registry.clone());
-    let out = body();
-    match previous {
-        Some(prev) => iotmap_obs::install(prev),
-        None => iotmap_obs::uninstall(),
-    }
-    (out, Some(registry.report()))
+    // `capture` reinstalls the caller's recorder: a quarantine retry runs
+    // on the calling thread, where the parent registry is installed.
+    let (out, report) = iotmap_obs::capture(body);
+    (out, Some(report))
 }
 
 /// Apply `f` to every item and collect the outputs in item order.
@@ -468,6 +459,7 @@ where
 mod tests {
     use super::*;
     use iotmap_obs::Registry;
+    use std::rc::Rc;
 
     #[test]
     fn default_budget_is_serial() {

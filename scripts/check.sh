@@ -5,6 +5,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Bench records must parse as JSON: reports whole, history files line by
+# line (a record that breaks on a quote in a path silently disarms the
+# history gate).
+check_json() {
+  python3 - "$@" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        if path.endswith(".jsonl"):
+            for line in f:
+                json.loads(line)
+        else:
+            json.load(f)
+PY
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -46,6 +62,7 @@ cargo run --release -q -p iotmap-bench --bin exp -- \
 cargo run --release -q -p iotmap-bench --bin exp -- \
   bench --preset small --seed 42 --threads 1 --cache "$tmp_bench/cache" \
   --out "$tmp_bench" --gate >/dev/null
+check_json "$tmp_bench/BENCH_pipeline.json" "$tmp_bench/BENCH_history.jsonl"
 
 # The CI scale-smoke gate, condensed: the --scale phase must stream the
 # replicated ISP pass block by block — the binary itself enforces the
@@ -61,6 +78,7 @@ grep -q '"peak_rss_bytes": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
 grep -q '"isp_replicas": 4,' "$tmp_bench/BENCH_pipeline.json" \
   && grep -q '"isp_lines": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
   || { echo "scaled.isp_* missing from BENCH_pipeline.json"; exit 1; }
+check_json "$tmp_bench/BENCH_pipeline.json" "$tmp_bench/scale_history.jsonl"
 
 # The profiler's smoke path: the full prepare pipeline instrumented, the
 # trace exported as Chrome Trace Event JSON, and the report printed —
@@ -82,6 +100,7 @@ cargo run --release -q -p iotmap-bench --bin exp -- \
   longitudinal --preset small --seed 42 --threads 1 --days 3 \
   --out "$tmp_bench" >/dev/null
 test -s "$tmp_bench/BENCH_longitudinal.json" || { echo "BENCH_longitudinal.json missing or empty"; exit 1; }
+check_json "$tmp_bench/BENCH_longitudinal.json" "$tmp_bench/BENCH_history.jsonl"
 
 # The CI scenario-smoke gate, condensed: a declarative chaos scenario
 # must run deterministically (exp scenario re-executes and compares
@@ -93,6 +112,7 @@ cargo run --release -q -p iotmap-bench --bin exp -- \
   scenario --preset small --seed 42 --threads 1 \
   --file scenarios/cert_storm.scn --out "$tmp_bench" >/dev/null
 test -s "$tmp_bench/BENCH_scenarios.json" || { echo "BENCH_scenarios.json missing or empty"; exit 1; }
+check_json "$tmp_bench/BENCH_scenarios.json"
 rm -rf "$tmp_bench"
 
 echo "OK"
