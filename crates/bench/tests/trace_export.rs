@@ -50,6 +50,7 @@ fn prepare_span_tree_matches_golden_shape() {
         [
             "super.stage.discovery",
             "experiment.footprints",
+            "super.stage.shared-ip",
             "super.stage.index",
         ],
         "execute stage spans changed — update exp bench's prepare_stages_ms docs"

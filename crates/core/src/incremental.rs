@@ -161,10 +161,11 @@ impl IncrementalDiscovery {
         fresh_ips.sort_unstable();
         fresh_ips.dedup();
         let mut fresh_matched: Vec<Vec<u32>> = vec![Vec::new(); providers.len()];
+        let mut buf = String::new();
         for &row in &fresh_rows {
-            let entry = &entries[row as usize];
+            let fqdn = entries[row as usize].owner.fqdn_into(&mut buf);
             for (p, patterns) in providers.iter().enumerate() {
-                if patterns.matches_owner(&entry.owner) {
+                if patterns.owner_regex.is_match(fqdn) {
                     fresh_matched[p].push(row);
                 }
             }

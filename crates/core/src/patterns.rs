@@ -360,7 +360,10 @@ impl PatternRegistry {
     /// Which provider (if any) claims a DNS owner name? First match wins;
     /// the patterns are mutually exclusive by construction.
     pub fn classify_owner(&self, owner: &DomainName) -> Option<&ProviderPatterns> {
-        self.providers.iter().find(|p| p.matches_owner(owner))
+        let fqdn = owner.fqdn();
+        self.providers
+            .iter()
+            .find(|p| p.owner_regex.is_match(&fqdn))
     }
 
     /// Which provider (if any) claims a certificate name?

@@ -13,7 +13,8 @@
 use crate::discovery::ProviderDiscovery;
 use crate::patterns::PatternRegistry;
 use iotmap_dns::PassiveDnsDb;
-use iotmap_nettypes::{Ipv4Prefix, StudyPeriod};
+use iotmap_nettypes::{DomainName, Ipv4Prefix, StudyPeriod};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
@@ -34,12 +35,19 @@ impl SharedVerdict {
 }
 
 /// The shared-vs-dedicated classifier.
+///
+/// Owners recur across IPs (and across days in a roll-forward), so the
+/// classifier runs the pattern registry once per distinct owner for its
+/// whole lifetime: reuse one instance for every IP of a pass.
 pub struct SharedIpClassifier<'a> {
     registry: &'a PatternRegistry,
     /// Maximum number of unrelated domains an exclusive IoT gateway may
     /// carry (stray vanity records exist; the paper chose the threshold by
     /// inspection).
     pub threshold: u32,
+    /// `classify_owner(owner).is_some()` per owner seen so far. Exact for
+    /// any window and database: the verdict depends on the name alone.
+    is_iot: RefCell<HashMap<DomainName, bool>>,
 }
 
 impl<'a> SharedIpClassifier<'a> {
@@ -48,6 +56,7 @@ impl<'a> SharedIpClassifier<'a> {
         SharedIpClassifier {
             registry,
             threshold: 3,
+            is_iot: RefCell::default(),
         }
     }
 
@@ -55,11 +64,20 @@ impl<'a> SharedIpClassifier<'a> {
     pub fn classify(&self, ip: IpAddr, pdns: &PassiveDnsDb, period: StudyPeriod) -> SharedVerdict {
         let mut non_iot = 0u32;
         let mut seen: HashSet<&str> = HashSet::new();
+        let mut is_iot = self.is_iot.borrow_mut();
         for entry in pdns.domains_for_ip(ip, period) {
             if !seen.insert(entry.owner.as_str()) {
                 continue;
             }
-            if self.registry.classify_owner(&entry.owner).is_none() {
+            let iot = match is_iot.get(&entry.owner) {
+                Some(&iot) => iot,
+                None => {
+                    let iot = self.registry.classify_owner(&entry.owner).is_some();
+                    is_iot.insert(entry.owner.clone(), iot);
+                    iot
+                }
+            };
+            if !iot {
                 non_iot += 1;
             }
         }
@@ -292,6 +310,67 @@ mod tests {
             p.ips.insert(ip.parse().unwrap(), IpEvidence::default());
         }
         p
+    }
+
+    #[test]
+    fn owner_memo_matches_fresh_per_ip_verdicts() {
+        let registry = PatternRegistry::paper_defaults();
+        let mut pdns = PassiveDnsDb::new();
+        let out_of_window = Date::new(2021, 6, 1).midnight();
+        let mut point = |owner: &str, ip: &str, at| {
+            pdns.observe(d(owner), RData::A(ip.parse().unwrap()), at);
+        };
+        let web = ["web0.example.org", "web1.example.org", "web2.example.org"];
+        // .10: IoT + 4 shared web owners + one owner only it sees in-window.
+        point("hub-1.azure-devices.net", "192.0.2.10", t());
+        for owner in web.iter().chain(&["web3.example.org", "late.example.org"]) {
+            point(owner, "192.0.2.10", t());
+        }
+        // .11: the same IoT and web owners (3 of them), plus `late`
+        // observed only before the window.
+        point("hub-1.azure-devices.net", "192.0.2.11", t());
+        for owner in web {
+            point(owner, "192.0.2.11", t());
+        }
+        point("late.example.org", "192.0.2.11", out_of_window);
+        // .12 sits exactly on the threshold (3 non-IoT owners), .13 one
+        // past it (4).
+        point("mqtt.googleapis.com", "192.0.2.12", t());
+        for owner in web {
+            point(owner, "192.0.2.12", t());
+            point(owner, "192.0.2.13", t());
+        }
+        point("web3.example.org", "192.0.2.13", t());
+
+        let disc = discovery_with(&["192.0.2.10", "192.0.2.11", "192.0.2.12", "192.0.2.13"]);
+        let mut want_dedicated = HashSet::new();
+        let mut want_shared = HashMap::new();
+        for &ip in disc.ips.keys() {
+            match SharedIpClassifier::new(&registry).classify(ip, &pdns, week()) {
+                SharedVerdict::Dedicated => {
+                    want_dedicated.insert(ip);
+                }
+                SharedVerdict::Shared { non_iot_domains } => {
+                    want_shared.insert(ip, non_iot_domains);
+                }
+            }
+        }
+        let ip = |s: &str| -> IpAddr { s.parse().unwrap() };
+        assert_eq!(
+            want_dedicated,
+            HashSet::from([ip("192.0.2.11"), ip("192.0.2.12")])
+        );
+        assert_eq!(
+            want_shared,
+            HashMap::from([(ip("192.0.2.10"), 5), (ip("192.0.2.13"), 4)])
+        );
+        // A cold and then a warm memo give the fresh per-IP verdicts.
+        let classifier = SharedIpClassifier::new(&registry);
+        for pass in ["cold", "warm"] {
+            let (dedicated, shared) = classifier.split_provider(&disc, &pdns, week());
+            assert_eq!(dedicated, want_dedicated, "{pass}");
+            assert_eq!(shared, want_shared, "{pass}");
+        }
     }
 
     #[test]

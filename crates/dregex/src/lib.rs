@@ -48,9 +48,13 @@ pub struct Regex {
     pattern: String,
     program: Program,
     /// Mandatory anchored literals (see [`literal`]), extracted once at
-    /// compile time so the discovery matcher can prefilter with them.
+    /// compile time. Every match call checks them before running the VM,
+    /// and the discovery matcher's suffix index keys on them.
     literal_prefix: Option<String>,
     literal_suffix: Option<String>,
+    /// Compiled case-insensitive: the literals are lowercased, and the
+    /// prefilter compares them ASCII-case-insensitively.
+    case_insensitive: bool,
 }
 
 impl Regex {
@@ -69,26 +73,56 @@ impl Regex {
             program,
             literal_prefix: literal::literal_prefix(&ast, case_insensitive),
             literal_suffix: literal::literal_suffix(&ast, case_insensitive),
+            case_insensitive,
         })
+    }
+
+    /// Can `input` match at all? `false` when it lacks the mandatory
+    /// anchored head or tail literal — a byte comparison that spares the
+    /// VM run on the many names a pattern can never match. Compares bytes,
+    /// so a literal that ends inside a multibyte character cannot panic.
+    fn may_match(&self, input: &[u8]) -> bool {
+        let eq = |got: &[u8], want: &str| {
+            if self.case_insensitive {
+                got.eq_ignore_ascii_case(want.as_bytes())
+            } else {
+                got == want.as_bytes()
+            }
+        };
+        self.literal_prefix
+            .as_deref()
+            .is_none_or(|p| input.get(..p.len()).is_some_and(|head| eq(head, p)))
+            && self.literal_suffix.as_deref().is_none_or(|s| {
+                input
+                    .len()
+                    .checked_sub(s.len())
+                    .is_some_and(|cut| eq(&input[cut..], s))
+            })
     }
 
     /// Does the pattern match anywhere in `input` (unanchored search, like
     /// POSIX `grep`)? Anchors inside the pattern still bind to the input
     /// boundaries.
     pub fn is_match(&self, input: &str) -> bool {
-        vm::search(&self.program, input.as_bytes())
+        let input = input.as_bytes();
+        self.may_match(input) && vm::search(&self.program, input)
     }
 
     /// Does the pattern match the *entire* input?
     pub fn is_full_match(&self, input: &str) -> bool {
-        vm::match_anchored(&self.program, input.as_bytes())
+        let input = input.as_bytes();
+        self.may_match(input) && vm::match_anchored(&self.program, input)
     }
 
     /// Leftmost match range, if any. The end is the *earliest* accepting
     /// position (shortest match) — sufficient for the pipeline, which only
     /// needs boolean hits and hit locations.
     pub fn find(&self, input: &str) -> Option<(usize, usize)> {
-        vm::find(&self.program, input.as_bytes())
+        let input = input.as_bytes();
+        if !self.may_match(input) {
+            return None;
+        }
+        vm::find(&self.program, input)
     }
 
     /// The source pattern.
@@ -197,6 +231,7 @@ impl PatternSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backtrack::BacktrackRegex;
     use iotmap_nettypes::SimRng;
 
     fn m(pat: &str, input: &str) -> bool {
@@ -325,6 +360,77 @@ mod tests {
         let re = Regex::new(r"^iot-mqtts\.(.+)").unwrap();
         assert_eq!(re.literal_prefix(), Some("iot-mqtts."));
         assert_eq!(re.literal_suffix(), None);
+    }
+
+    /// Every entry point answers the same as the literal-blind VM.
+    fn assert_prefilter_exact(re: &Regex, input: &str, want: bool) {
+        let bytes = input.as_bytes();
+        assert_eq!(vm::search(&re.program, bytes), want, "VM: {input:?}");
+        assert_eq!(re.is_match(input), want, "is_match: {input:?}");
+        assert_eq!(re.find(input).is_some(), want, "find: {input:?}");
+        assert_eq!(
+            re.is_full_match(input),
+            vm::match_anchored(&re.program, bytes),
+            "is_full_match: {input:?}"
+        );
+    }
+
+    #[test]
+    fn prefilter_respects_case_sensitivity() {
+        let cs = Regex::new("FOO$").unwrap();
+        assert_eq!(cs.literal_suffix(), Some("FOO"));
+        assert_prefilter_exact(&cs, "xfoo", false);
+        assert_prefilter_exact(&cs, "xFOO", true);
+        assert_prefilter_exact(&cs, "FOO", true);
+        let ci = Regex::with_options("FOO$", true).unwrap();
+        assert_eq!(ci.literal_suffix(), Some("foo"));
+        assert_prefilter_exact(&ci, "xfoo", true);
+        assert_prefilter_exact(&ci, "xFoO", true);
+        assert_prefilter_exact(&ci, "xfo", false);
+    }
+
+    #[test]
+    fn prefilter_checks_anchored_head_literal() {
+        let cs = Regex::new(r"^iot-mqtts\.(.+)").unwrap();
+        assert_prefilter_exact(&cs, "iot-mqtts.cn-north-4.example.", true);
+        assert_prefilter_exact(&cs, "xiot-mqtts.cn-north-4.example.", false);
+        assert_prefilter_exact(&cs, "IOT-MQTTS.cn-north-4.example.", false);
+        let ci = Regex::with_options(r"^iot-mqtts\.(.+)", true).unwrap();
+        assert_prefilter_exact(&ci, "IOT-MQTTS.cn-north-4.example.", true);
+        assert_prefilter_exact(&ci, "iot-mqtt.cn-north-4.example.", false);
+    }
+
+    #[test]
+    fn prefilter_rejects_inputs_shorter_than_the_literal() {
+        let tail = Regex::new(r"(.+)\.iot\.sap\.$").unwrap();
+        let head = Regex::new(r"^iot-mqtts\.(.+)").unwrap();
+        for input in ["", "p.", "sap.", "iot", "iot-mqtts."] {
+            assert_prefilter_exact(&tail, input, false);
+            assert_prefilter_exact(&head, input, false);
+        }
+    }
+
+    #[test]
+    fn prefilter_never_splits_multibyte_characters() {
+        // The literal's length cuts these inputs inside a character: a
+        // `&str` slice there would panic, the byte comparison must not.
+        let azure = Regex::with_options(r"(.+\.|^)(azure-devices\.net\.$)", true).unwrap();
+        assert_prefilter_exact(&azure, "é.azure-devices.net.", true);
+        assert_prefilter_exact(&azure, "é.azure-devices.neté", false);
+        assert_prefilter_exact(&azure, "€", false);
+        for pattern in ["ab$", "^ab", "^a.*b$"] {
+            let re = Regex::with_options(pattern, true).unwrap();
+            for input in ["€", "x€", "€x", "aé", "éb", "a€€b"] {
+                let want = BacktrackRegex::new(pattern).unwrap().is_match(input);
+                assert_prefilter_exact(&re, input, want);
+            }
+        }
+        // A multibyte literal in the pattern itself.
+        let e = Regex::new("é$").unwrap();
+        assert_eq!(e.literal_suffix(), Some("é"));
+        assert_prefilter_exact(&e, "café", true);
+        assert_prefilter_exact(&e, "cafe", false);
+        assert_prefilter_exact(&e, "caf€", false);
     }
 
     #[test]

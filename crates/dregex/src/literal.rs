@@ -16,7 +16,9 @@
 //! doubt it returns a shorter (possibly empty) literal, never a wrong one —
 //! so index lookups are a superset of true matches and a per-candidate
 //! verification run of the pattern's own regex stays sound. Mandatory
-//! prefixes are computed symmetrically.
+//! prefixes are computed symmetrically. The same soundness lets
+//! [`crate::Regex`] reject an input lacking either literal before it runs
+//! the VM.
 
 use crate::ast::Ast;
 

@@ -63,6 +63,12 @@ cargo run --release -q -p iotmap-bench --bin exp -- \
   bench --preset small --seed 42 --threads 1 --cache "$tmp_bench/cache" \
   --out "$tmp_bench" --gate >/dev/null
 check_json "$tmp_bench/BENCH_pipeline.json" "$tmp_bench/BENCH_history.jsonl"
+# The shared-IP stage reports its own time, not folded into footprints.
+python3 - "$tmp_bench/BENCH_pipeline.json" <<'PY' \
+  || { echo "prepare_stages_ms.shared-ip missing from BENCH_pipeline.json"; exit 1; }
+import json, sys
+assert "shared-ip" in json.load(open(sys.argv[1]))["prepare_stages_ms"]
+PY
 
 # The CI scale-smoke gate, condensed: the --scale phase must stream the
 # replicated ISP pass block by block — the binary itself enforces the

@@ -466,7 +466,8 @@ impl Pipeline {
             )?
         };
 
-        // Footprints and shared-IP classification.
+        // Footprints. The span wraps this stage alone, so the shared-IP
+        // stage below reports its own time beside it.
         let fp_span = iotmap_obs::span!("experiment.footprints");
         let footprints = {
             let sources = Pipeline::data_sources(&world, &scans);
@@ -489,6 +490,7 @@ impl Pipeline {
                 },
             )?
         };
+        fp_span.exit();
         let shared_ips = {
             let registry = pipeline.registry();
             let discovery = &discovery;
@@ -516,7 +518,6 @@ impl Pipeline {
                 },
             )?
         };
-        fp_span.exit();
 
         // The index borrows nothing and rebuilds in microseconds: never
         // checkpointed.

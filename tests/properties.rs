@@ -266,6 +266,46 @@ fn match_engine_agrees_with_backtracking_oracle() {
     );
 }
 
+/// Every paper owner and SAN regex, called directly on every name (no
+/// engine candidate selection in between), must agree with the
+/// backtracking oracle on the lowercased name through all three entry
+/// points. This pins the anchored-literal prefilter each call runs
+/// before the VM: it may reject only names the VM would reject, under
+/// case flips and on lookalikes that differ just past the literal.
+#[test]
+fn paper_regexes_agree_with_backtracking_oracle_directly() {
+    use iotmap::dregex::backtrack::BacktrackRegex;
+
+    let registry = PatternRegistry::paper_defaults();
+    let mut positives = 0usize;
+    let mut names = Vec::new();
+    for seed in [1u64, 7, 42, 1337] {
+        for name in random_hostnames(seed, &registry, 250) {
+            names.push(format!("{name}."));
+            names.push(name);
+        }
+    }
+    for provider in registry.providers() {
+        for re in [&provider.owner_regex, &provider.san_regex] {
+            let oracle = BacktrackRegex::new(re.pattern()).expect("paper pattern");
+            for name in &names {
+                let lower = name.to_ascii_lowercase();
+                let expected = oracle.is_match(&lower);
+                let ctx = format!("{} on {name:?}", re.pattern());
+                assert_eq!(re.is_match(name), expected, "is_match: {ctx}");
+                assert_eq!(re.find(name).is_some(), expected, "find: {ctx}");
+                assert_eq!(
+                    re.is_full_match(name),
+                    oracle.is_full_match(&lower),
+                    "is_full_match: {ctx}"
+                );
+                positives += expected as usize;
+            }
+        }
+    }
+    assert!(positives > 0, "no name matched; differential is vacuous");
+}
+
 /// The delta algebra's inverse law: applying a day's [`WorldDelta`] to a
 /// corpus and then unapplying it restores the corpus and the period
 /// byte-for-byte — and both directions reject a misaligned or tampered
