@@ -1,20 +1,20 @@
-//! Overhead guard: instrumentation must cost ~nothing when no recorder is
-//! installed, and a no-op recorder must not slow the pipeline either.
+//! Overhead guard: the `Registry` the harnesses install must not slow
+//! the pipeline measurably against running with no recorder at all.
 //!
 //! `Experiment::prepare` at the small preset runs the full world build,
 //! scan collection, discovery, and footprint inference — every span and
 //! counter site in the hot paths fires (or is skipped) here. We compare
-//! the disabled path against a literal no-op `Recorder` and assert the
-//! difference stays under 5% (plus a small absolute slack so scheduler
-//! jitter on a ~10s workload cannot flake the suite).
+//! the disabled path against a `Registry` and assert the difference
+//! stays under 5% (plus a small absolute slack so scheduler jitter on a
+//! ~10s workload cannot flake the suite).
 //!
-//! The second guard times the hot traffic path with the recorder the
-//! harnesses really install: one small-preset analysis pass with no
-//! recorder against one with a `Registry`, under a 3% budget.
+//! The second guard times the hot traffic path: one small-preset
+//! analysis pass with no recorder against one with a `Registry`, under a
+//! 3% budget.
 
 use iotmap_bench::Experiment;
 use iotmap_netflow::LineId;
-use iotmap_obs::{Recorder, Registry};
+use iotmap_obs::Registry;
 use iotmap_world::WorldConfig;
 use std::collections::HashSet;
 use std::rc::Rc;
@@ -32,19 +32,6 @@ fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A recorder that pays the dispatch cost and drops everything.
-struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn span_enter(&self, _name: &str) -> usize {
-        0
-    }
-    fn span_exit(&self, _id: usize, _nanos: u64) {}
-    fn add(&self, _name: &str, _delta: u64) {}
-    fn gauge(&self, _name: &str, _value: i64) {}
-    fn observe(&self, _name: &str, _value: u64) {}
-}
-
 fn timed_prepare(config: &WorldConfig) -> Duration {
     let t0 = Instant::now();
     let exp = Experiment::prepare(config);
@@ -56,7 +43,7 @@ fn timed_prepare(config: &WorldConfig) -> Duration {
 }
 
 #[test]
-fn noop_recorder_overhead_is_bounded() {
+fn registry_overhead_on_prepare_is_bounded() {
     let _timing = timing_lock();
     let config = WorldConfig::small(42);
 
@@ -65,22 +52,34 @@ fn noop_recorder_overhead_is_bounded() {
     let _ = timed_prepare(&config);
 
     // Interleave the two configurations and keep the best of each, which
-    // cancels one-sided load spikes.
+    // cancels one-sided load spikes. A noisy neighbour can slow a whole
+    // block of two pairs (a prepare's own run-to-run spread exceeds the
+    // budget on a shared 2-core box), so up to three blocks run before
+    // the budget counts as missed; a real recording cost shows in every
+    // block.
+    let budget = |disabled: Duration| disabled.mul_f64(1.05) + Duration::from_millis(300);
     let mut disabled = Duration::MAX;
-    let mut noop = Duration::MAX;
-    for _ in 0..2 {
+    let mut registry = Duration::MAX;
+    for round in 0..6 {
         iotmap_obs::uninstall();
         disabled = disabled.min(timed_prepare(&config));
 
-        iotmap_obs::install(Rc::new(NoopRecorder));
-        noop = noop.min(timed_prepare(&config));
+        iotmap_obs::install(Rc::new(Registry::new()));
+        registry = registry.min(timed_prepare(&config));
         iotmap_obs::uninstall();
+        if round % 2 == 1 {
+            eprintln!("prepare: disabled={disabled:?} registry={registry:?}");
+            if registry <= budget(disabled) {
+                break;
+            }
+        }
     }
 
-    let budget = disabled.mul_f64(1.05) + Duration::from_millis(300);
+    let budget = budget(disabled);
     assert!(
-        noop <= budget,
-        "no-op recorder too expensive: disabled={disabled:?} noop={noop:?} budget={budget:?}"
+        registry <= budget,
+        "Registry too expensive on prepare: disabled={disabled:?} \
+         registry={registry:?} budget={budget:?}"
     );
 }
 

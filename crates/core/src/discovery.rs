@@ -124,7 +124,7 @@ impl SourceSet {
 /// Every field is a **join-semilattice**: accumulation is commutative,
 /// associative, and idempotent (`sources`/`days` are set unions,
 /// `matched_names` keeps the lexicographically smallest
-/// [`MAX_MATCHED_NAMES`] names, the two options keep their smallest
+/// `MAX_MATCHED_NAMES` (12) names, the two options keep their smallest
 /// `Some`). That is what lets sharded partials merge in any grouping,
 /// lets the incremental engine re-apply a record's evidence without
 /// drift, and makes a rolled-forward run byte-identical to a

@@ -13,11 +13,11 @@
 //!
 //! ## Recording model
 //!
-//! Instrumented code talks to a thread-local [`Recorder`]. By default
+//! Instrumented code talks to a thread-local [`Registry`]. By default
 //! none is installed, and every instrumentation point reduces to one
 //! thread-local flag check — the hot paths cost ~nothing when
 //! observability is off (see the overhead guard in `iotmap-bench`).
-//! A harness that wants a report installs a [`Registry`]:
+//! A harness that wants a report installs one:
 //!
 //! ```
 //! use std::rc::Rc;
@@ -61,8 +61,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// One worker shard's identity, attached to its merged span roots by
-/// [`Recorder::merge_child_attributed`] so a trace can show which shard
-/// did how much work (and whether it had to be quarantined and retried).
+/// [`Registry::merge_child`] so a trace can show which shard did how
+/// much work (and whether it had to be quarantined and retried).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardAttribution {
     /// Shard index within the sharded call.
@@ -73,85 +73,12 @@ pub struct ShardAttribution {
     pub quarantined: bool,
 }
 
-/// The sink instrumented code reports into.
-///
-/// Implementations record through `&self`: recorders are shared
-/// (`Rc<dyn Recorder>`) between the thread-local slot and the harness
-/// that will read the results back, so interior mutability is the
-/// implementor's responsibility. [`Registry`] is the standard
-/// implementation; tests may plug in their own.
-pub trait Recorder {
-    /// A named region opened; returns an id handed back to
-    /// [`Recorder::span_exit`]. Nesting is implied by call order.
-    fn span_enter(&self, name: &str) -> usize;
-    /// The region identified by `id` closed after `nanos` nanoseconds of
-    /// monotonic wall-clock time.
-    fn span_exit(&self, id: usize, nanos: u64);
-    /// Add `delta` to the named counter.
-    fn add(&self, name: &str, delta: u64);
-    /// Set the named gauge.
-    fn gauge(&self, name: &str, value: i64);
-    /// Record one observation into the named histogram.
-    fn observe(&self, name: &str, value: u64);
-    /// Attach `key = value` metadata to the innermost open span —
-    /// per-shard attribution, retry counts, item totals. The default
-    /// drops it: plain recorders need no span metadata, and new trait
-    /// methods must not break existing implementations.
-    fn annotate(&self, _key: &str, _value: u64) {}
-    /// Fold a child worker's finished [`RunReport`] into this recorder.
-    ///
-    /// Called by the parallel execution layer after joining a worker, in
-    /// shard order. The default implementation replays the report
-    /// through the generic interface: spans re-entered/exited in order,
-    /// counters re-added, gauges re-set, and histogram buckets replayed
-    /// at each bucket's upper bound (approximate when bounds differ).
-    /// [`Registry`] overrides this with an exact structural merge.
-    fn merge_child(&self, report: &RunReport) {
-        fn replay_span<R: Recorder + ?Sized>(rec: &R, node: &SpanNode) {
-            let id = rec.span_enter(&node.name);
-            for (key, value) in &node.meta {
-                rec.annotate(key, *value);
-            }
-            for child in &node.children {
-                replay_span(rec, child);
-            }
-            rec.span_exit(id, node.nanos);
-        }
-        for root in &report.spans {
-            replay_span(self, root);
-        }
-        for (name, delta) in &report.counters {
-            self.add(name, *delta);
-        }
-        for (name, value) in &report.gauges {
-            self.gauge(name, *value);
-        }
-        for (name, snap) in &report.histograms {
-            for (i, &n) in snap.counts.iter().enumerate() {
-                let value = snap.bounds.get(i).copied().unwrap_or(snap.max);
-                for _ in 0..n {
-                    self.observe(name, value);
-                }
-            }
-        }
-    }
-    /// [`Recorder::merge_child`] with the merging shard's identity, so
-    /// recorders that keep a span tree can attribute each merged subtree
-    /// to the worker that produced it. The default ignores the
-    /// attribution and merges plainly; [`Registry`] overrides this to
-    /// stamp `shard` / `items` / `quarantined` metadata on the attached
-    /// child roots.
-    fn merge_child_attributed(&self, report: &RunReport, _attr: &ShardAttribution) {
-        self.merge_child(report);
-    }
-}
-
 thread_local! {
-    static CURRENT: RefCell<Option<Rc<dyn Recorder>>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Rc<Registry>>> = const { RefCell::new(None) };
 }
 
 /// Install a recorder for the current thread. Replaces any previous one.
-pub fn install(recorder: Rc<dyn Recorder>) {
+pub fn install(recorder: Rc<Registry>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(recorder));
 }
 
@@ -170,12 +97,11 @@ pub fn enabled() -> bool {
 
 /// Run `f` against the installed recorder, if any.
 #[inline]
-pub fn with_recorder<R>(f: impl FnOnce(&dyn Recorder) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|r| f(r.as_ref())))
+pub fn with_recorder<R>(f: impl FnOnce(&Registry) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|r| f(r)))
 }
 
-#[doc(hidden)]
-pub fn current_recorder() -> Option<Rc<dyn Recorder>> {
+pub(crate) fn current_recorder() -> Option<Rc<Registry>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -196,24 +122,12 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, RunReport) {
 
 /// Fold a child worker's [`RunReport`] into this thread's recorder (a
 /// no-op when none is installed). The parallel execution layer calls
-/// this once per worker, in shard order, after the join — see
-/// [`Recorder::merge_child`] for the merge semantics.
-pub fn merge_child_report(report: &RunReport) {
-    with_recorder(|r| r.merge_child(report));
-}
-
-/// [`merge_child_report`] with shard attribution — the variant the
-/// parallel execution layer uses so each worker's merged span roots
-/// carry the shard index, item count, and quarantine marker.
-pub fn merge_child_report_attributed(report: &RunReport, attr: &ShardAttribution) {
-    with_recorder(|r| r.merge_child_attributed(report, attr));
-}
-
-/// Attach metadata to the innermost open span (function form; prefer the
-/// [`annotate!`] macro, which skips evaluating its arguments when
-/// disabled).
-pub fn annotate(key: &str, value: u64) {
-    with_recorder(|r| r.annotate(key, value));
+/// this once per worker, in shard order, after the join, with the
+/// worker's [`ShardAttribution`]; a pass that flushes partial-local
+/// metrics passes `None`. See [`Registry::merge_child`] for the merge
+/// semantics.
+pub fn merge_child_report(report: &RunReport, attr: Option<&ShardAttribution>) {
+    with_recorder(|r| r.merge_child(report, attr));
 }
 
 /// Peak resident-set size of this process in bytes, read from Linux's
@@ -230,17 +144,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
-}
-
-/// Open a span through the installed recorder (function form; prefer the
-/// [`span!`] macro, which skips evaluating a computed name when
-/// disabled).
-pub fn span(name: &str) -> SpanGuard {
-    if enabled() {
-        SpanGuard::enter_active(name)
-    } else {
-        SpanGuard::inactive()
-    }
 }
 
 /// Open an RAII span: `let _guard = obs::span!("discovery.censys");`.
@@ -348,7 +251,7 @@ mod tests {
         uninstall();
         assert!(!enabled());
         // All of these must be harmless no-ops.
-        let _g = span("nothing");
+        let _g = span!("nothing");
         count!("nothing");
         gauge!("nothing", 1);
         observe!("nothing", 1);
@@ -373,60 +276,12 @@ mod tests {
         child.add("merged", 4);
         let report = child.report();
         uninstall();
-        merge_child_report(&report); // no recorder installed: dropped
+        merge_child_report(&report, None); // no recorder installed: dropped
         let parent = Rc::new(Registry::new());
         install(parent.clone());
-        merge_child_report(&report);
+        merge_child_report(&report, None);
         uninstall();
         assert_eq!(parent.counter("merged"), 4);
-    }
-
-    #[test]
-    fn default_merge_child_replays_through_the_generic_interface() {
-        use std::cell::RefCell;
-
-        #[derive(Default)]
-        struct Log(RefCell<Vec<String>>);
-        impl Recorder for Log {
-            fn span_enter(&self, name: &str) -> usize {
-                self.0.borrow_mut().push(format!("enter {name}"));
-                0
-            }
-            fn span_exit(&self, _id: usize, nanos: u64) {
-                self.0.borrow_mut().push(format!("exit {nanos}"));
-            }
-            fn add(&self, name: &str, delta: u64) {
-                self.0.borrow_mut().push(format!("add {name}={delta}"));
-            }
-            fn gauge(&self, name: &str, value: i64) {
-                self.0.borrow_mut().push(format!("gauge {name}={value}"));
-            }
-            fn observe(&self, name: &str, value: u64) {
-                self.0.borrow_mut().push(format!("observe {name}={value}"));
-            }
-        }
-
-        let child = Registry::new();
-        let outer = child.span_enter("outer");
-        let inner = child.span_enter("inner");
-        child.span_exit(inner, 2);
-        child.span_exit(outer, 9);
-        child.add("c", 3);
-        child.gauge("g", -1);
-
-        let log = Log::default();
-        log.merge_child(&child.report());
-        assert_eq!(
-            *log.0.borrow(),
-            vec![
-                "enter outer",
-                "enter inner",
-                "exit 2",
-                "exit 9",
-                "add c=3",
-                "gauge g=-1"
-            ]
-        );
     }
 
     #[test]

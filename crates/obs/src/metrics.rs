@@ -2,7 +2,7 @@
 //! the span arena.
 
 use crate::report::{RunReport, SpanNode};
-use crate::{Recorder, ShardAttribution};
+use crate::ShardAttribution;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -162,7 +162,7 @@ struct SpanRec {
     name: String,
     nanos: u64,
     children: Vec<usize>,
-    /// Attribution attached via [`Recorder::annotate`] or a shard merge:
+    /// Attribution attached via [`Registry::annotate`] or a shard merge:
     /// last write wins per key, insertion-ordered.
     meta: Vec<(String, u64)>,
 }
@@ -185,8 +185,9 @@ struct Inner {
     stack: Vec<usize>,
 }
 
-/// The standard [`Recorder`]: accumulates counters, gauges, histograms,
-/// and the span tree, and snapshots them into a [`RunReport`].
+/// The recorder instrumented code reports into: accumulates counters,
+/// gauges, histograms, and the span tree, and snapshots them into a
+/// [`RunReport`].
 ///
 /// Single-threaded by design (interior `RefCell`, shared via `Rc`), like
 /// the simulation itself; each test thread installs its own.
@@ -235,32 +236,6 @@ impl Registry {
         id
     }
 
-    /// The metric half of a child merge: counters add saturating, gauges
-    /// last-write-wins, histograms merge bucket-wise.
-    fn merge_metrics(inner: &mut Inner, report: &RunReport) {
-        for (name, delta) in &report.counters {
-            match inner.counters.get_mut(name) {
-                Some(v) => *v = v.saturating_add(*delta),
-                None => {
-                    inner.counters.insert(name.clone(), *delta);
-                }
-            }
-        }
-        for (name, value) in &report.gauges {
-            inner.gauges.insert(name.clone(), *value);
-        }
-        for (name, snap) in &report.histograms {
-            match inner.histograms.get_mut(name) {
-                Some(h) => h.merge_snapshot(snap),
-                None => {
-                    inner
-                        .histograms
-                        .insert(name.clone(), Histogram::from_snapshot(snap));
-                }
-            }
-        }
-    }
-
     /// Snapshot everything recorded so far into a [`RunReport`]. Spans
     /// still open keep their zero duration.
     pub fn report(&self) -> RunReport {
@@ -292,10 +267,10 @@ impl Registry {
                 .collect(),
         }
     }
-}
 
-impl Recorder for Registry {
-    fn span_enter(&self, name: &str) -> usize {
+    /// Open a named region; returns an id handed back to
+    /// [`Registry::span_exit`]. Nesting is implied by call order.
+    pub fn span_enter(&self, name: &str) -> usize {
         let mut inner = self.inner.borrow_mut();
         let id = inner.spans.len();
         inner.spans.push(SpanRec {
@@ -312,7 +287,9 @@ impl Recorder for Registry {
         id
     }
 
-    fn span_exit(&self, id: usize, nanos: u64) {
+    /// Close the region identified by `id` after `nanos` nanoseconds of
+    /// monotonic wall-clock time.
+    pub fn span_exit(&self, id: usize, nanos: u64) {
         let mut inner = self.inner.borrow_mut();
         if let Some(rec) = inner.spans.get_mut(id) {
             rec.nanos = nanos;
@@ -323,7 +300,8 @@ impl Recorder for Registry {
         }
     }
 
-    fn add(&self, name: &str, delta: u64) {
+    /// Add `delta` to the named counter (saturating).
+    pub fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.borrow_mut();
         match inner.counters.get_mut(name) {
             Some(v) => *v = v.saturating_add(delta),
@@ -333,23 +311,26 @@ impl Recorder for Registry {
         }
     }
 
-    fn gauge(&self, name: &str, value: i64) {
+    /// Set the named gauge.
+    pub fn gauge(&self, name: &str, value: i64) {
         self.inner
             .borrow_mut()
             .gauges
             .insert(name.to_string(), value);
     }
 
-    /// Attach `key = value` to the innermost open span (dropped when no
-    /// span is open — attribution without a span has nowhere to live).
-    fn annotate(&self, key: &str, value: u64) {
+    /// Attach `key = value` to the innermost open span — per-shard
+    /// attribution, retry counts, item totals (dropped when no span is
+    /// open — attribution without a span has nowhere to live).
+    pub fn annotate(&self, key: &str, value: u64) {
         let mut inner = self.inner.borrow_mut();
         if let Some(id) = inner.stack.last().copied() {
             set_meta(&mut inner.spans[id].meta, key, value);
         }
     }
 
-    fn observe(&self, name: &str, value: u64) {
+    /// Record one observation into the named histogram.
+    pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.borrow_mut();
         match inner.histograms.get_mut(name) {
             Some(h) => h.record(value),
@@ -361,37 +342,49 @@ impl Recorder for Registry {
         }
     }
 
-    /// Exact merge of a child worker's report (overriding the trait's
-    /// replay-based default): counters add saturating, gauges
-    /// last-write-wins, histograms merge bucket-wise, and each child
-    /// root span attaches under the currently open span (the span the
-    /// parallel stage was entered from), so the merged tree has the
+    /// Exact merge of a child worker's report: counters add saturating,
+    /// gauges last-write-wins, histograms merge bucket-wise, and each
+    /// child root span attaches under the currently open span (the span
+    /// the parallel stage was entered from), so the merged tree has the
     /// same shape as a serial run — only the timings differ.
-    fn merge_child(&self, report: &RunReport) {
+    ///
+    /// With `attr`, every attached child root is also stamped with the
+    /// worker's shard index, the number of items it processed, and —
+    /// when the shard was quarantined and retried serially — a
+    /// `quarantined` marker. Attribution is metadata only.
+    pub fn merge_child(&self, report: &RunReport, attr: Option<&ShardAttribution>) {
         let mut inner = self.inner.borrow_mut();
-        Registry::merge_metrics(&mut inner, report);
-        let parent = inner.stack.last().copied();
-        for root in &report.spans {
-            Registry::attach_span(&mut inner, parent, root);
+        for (name, delta) in &report.counters {
+            match inner.counters.get_mut(name) {
+                Some(v) => *v = v.saturating_add(*delta),
+                None => {
+                    inner.counters.insert(name.clone(), *delta);
+                }
+            }
         }
-    }
-
-    /// [`Recorder::merge_child`], plus shard attribution: every attached
-    /// child root is stamped with the worker's shard index, the number of
-    /// items it processed, and — when the shard was quarantined and
-    /// retried serially — a `quarantined` marker. The tree *shape* stays
-    /// exactly what a serial run records; attribution is metadata only.
-    fn merge_child_attributed(&self, report: &RunReport, attr: &ShardAttribution) {
-        let mut inner = self.inner.borrow_mut();
-        Registry::merge_metrics(&mut inner, report);
+        for (name, value) in &report.gauges {
+            inner.gauges.insert(name.clone(), *value);
+        }
+        for (name, snap) in &report.histograms {
+            match inner.histograms.get_mut(name) {
+                Some(h) => h.merge_snapshot(snap),
+                None => {
+                    inner
+                        .histograms
+                        .insert(name.clone(), Histogram::from_snapshot(snap));
+                }
+            }
+        }
         let parent = inner.stack.last().copied();
         for root in &report.spans {
             let id = Registry::attach_span(&mut inner, parent, root);
-            let meta = &mut inner.spans[id].meta;
-            set_meta(meta, "shard", attr.shard);
-            set_meta(meta, "items", attr.items);
-            if attr.quarantined {
-                set_meta(meta, "quarantined", 1);
+            if let Some(attr) = attr {
+                let meta = &mut inner.spans[id].meta;
+                set_meta(meta, "shard", attr.shard);
+                set_meta(meta, "items", attr.items);
+                if attr.quarantined {
+                    set_meta(meta, "quarantined", 1);
+                }
             }
         }
     }
@@ -500,7 +493,7 @@ mod tests {
         parent.gauge("g", 1);
         parent.observe("h", 3);
         let outer = parent.span_enter("outer");
-        parent.merge_child(&child.report());
+        parent.merge_child(&child.report(), None);
         parent.span_exit(outer, 50);
 
         let report = parent.report();
@@ -523,7 +516,7 @@ mod tests {
         let s = child.span_enter("orphan");
         child.span_exit(s, 1);
         let parent = Registry::new();
-        parent.merge_child(&child.report());
+        parent.merge_child(&child.report(), None);
         assert_eq!(parent.report().spans[0].name, "orphan");
     }
 
@@ -547,7 +540,7 @@ mod tests {
     fn merging_empty_child_is_a_noop() {
         let parent = Registry::new();
         parent.add("c", 1);
-        parent.merge_child(&Registry::new().report());
+        parent.merge_child(&Registry::new().report(), None);
         assert_eq!(parent.counter("c"), 1);
         assert!(parent.report().spans.is_empty());
     }
@@ -585,7 +578,7 @@ mod tests {
         let parent = Registry::new();
         parent.add("parent.only", 3);
         parent.observe("parent.h", 4);
-        parent.merge_child(&child.report());
+        parent.merge_child(&child.report(), None);
         let report = parent.report();
         assert_eq!(report.counters["parent.only"], 3);
         assert_eq!(report.counters["child.only"], 7);
@@ -645,13 +638,13 @@ mod tests {
 
         let parent = Registry::new();
         let stage = parent.span_enter("stage");
-        parent.merge_child_attributed(
+        parent.merge_child(
             &child.report(),
-            &ShardAttribution {
+            Some(&ShardAttribution {
                 shard: 3,
                 items: 17,
                 quarantined: true,
-            },
+            }),
         );
         parent.span_exit(stage, 9);
 

@@ -671,7 +671,6 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
     use crate::Registry;
 
     fn sample_report() -> RunReport {

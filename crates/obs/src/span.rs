@@ -1,6 +1,6 @@
 //! RAII span guards: monotonic wall-clock timing of nested regions.
 
-use crate::Recorder;
+use crate::Registry;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -14,7 +14,7 @@ pub struct SpanGuard {
 }
 
 struct ActiveSpan {
-    recorder: Rc<dyn Recorder>,
+    recorder: Rc<Registry>,
     id: usize,
     started: Instant,
 }
@@ -69,7 +69,6 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
 
     #[test]
     fn inactive_guard_is_inert() {
@@ -84,9 +83,9 @@ mod tests {
         let registry = Rc::new(Registry::new());
         crate::install(registry.clone());
         {
-            let g = crate::span("outer");
+            let g = crate::span!("outer");
             assert!(g.is_active());
-            crate::span("inner").exit();
+            crate::span!("inner").exit();
         }
         crate::uninstall();
         let report = registry.report();

@@ -173,46 +173,91 @@ where
     R: Send,
     F: Fn(ShardCtx, &'a [T]) -> R + Sync,
 {
-    let budget = threads();
-    if budget <= 1 || items.len() <= 1 {
-        let ctx = ShardCtx {
-            index: 0,
-            shards: 1,
-            offset: 0,
-        };
-        return vec![f(ctx, items)];
-    }
+    let chunk = shard_len(items.len());
+    // The serial shape is one shard even for an empty slice (which
+    // `chunks` would split into none): `shard_fold` needs an accumulator.
+    let chunks = if chunk < items.len() {
+        items.chunks(chunk).collect()
+    } else {
+        vec![items]
+    };
+    // `f` only reads its `&[T]` slice, so a retry observes exactly what
+    // the poisoned worker did: every panic may be quarantined.
+    fan_out(
+        chunks,
+        items.len(),
+        chunk,
+        |_| true,
+        |ctx, slice| f(ctx, slice),
+    )
+}
 
-    let shards = budget.min(items.len());
-    let chunk = items.len().div_ceil(shards);
+/// Items per shard for a sharded call over `len` items at this thread's
+/// budget; `len` itself when the call runs inline as one shard.
+fn shard_len(len: usize) -> usize {
+    let budget = threads();
+    if budget <= 1 || len <= 1 {
+        return len;
+    }
+    len.div_ceil(budget.min(len))
+}
+
+/// The worker loop behind [`shard_chunks`] and [`shard_map_mut`]: run
+/// `body` once per chunk and return the results in chunk order.
+///
+/// `chunks[i]` covers items `i * chunk ..` of a `total`-item slice. A
+/// single chunk runs inline with no child registry and no crash roll.
+/// Otherwise each chunk gets a scoped worker under `catch_unwind`, a child
+/// registry when the caller is instrumented, and a shard-entry crash
+/// roll. Workers join in shard order; a poisoned shard whose payload is
+/// `retryable` is quarantined and re-run serially on the calling thread
+/// (injection disarmed) through the same `&mut` chunk, while a payload
+/// that is not, or more poisoned shards than the budget allows, re-raises.
+/// Child reports merge into the caller's recorder in shard order.
+fn fan_out<C, R, B>(
+    mut chunks: Vec<C>,
+    total: usize,
+    chunk: usize,
+    retryable: fn(&(dyn Any + Send)) -> bool,
+    body: B,
+) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+    B: Fn(ShardCtx, &mut C) -> R + Sync,
+{
+    let shards = chunks.len();
+    let ctx = |index: usize| ShardCtx {
+        index,
+        shards,
+        offset: index * chunk,
+    };
+    if shards == 1 {
+        return vec![body(ctx(0), &mut chunks[0])];
+    }
     let instrumented = iotmap_obs::enabled();
     // Crash injection is armed via a thread-local, which workers cannot
     // see — capture the calling thread's context before fanning out.
-    let armed = crash::armed();
+    let armed = &crash::armed();
+    let body = &body;
 
-    // `chunks()` can yield fewer pieces than `shards` when the ceiling
-    // division rounds up; size the result table by the real count.
-    let chunk_count = items.len().div_ceil(chunk);
     let mut results: Vec<Option<(R, Option<RunReport>)>> = Vec::new();
-    results.resize_with(chunk_count, || None);
+    results.resize_with(shards, || None);
     let mut poisoned: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let handles: Vec<_> = chunks
+            .iter_mut()
             .enumerate()
-            .map(|(index, slice)| {
-                let ctx = ShardCtx {
-                    index,
-                    shards,
-                    offset: index * chunk,
-                };
-                let f = &f;
-                let armed = armed.clone();
+            .map(|(index, c)| {
+                let ctx = ctx(index);
                 scope.spawn(move || {
                     catch_unwind(AssertUnwindSafe(move || {
                         run_shard(instrumented, move || {
-                            maybe_crash_shard(&armed, index);
-                            f(ctx, slice)
+                            // Injection fires before the first item is
+                            // touched, so a quarantined injected crash
+                            // leaves a pristine chunk behind.
+                            maybe_crash_shard(armed, index);
+                            body(ctx, c)
                         })
                     }))
                 })
@@ -234,26 +279,22 @@ where
     let mut quarantined: Vec<usize> = Vec::new();
     if !poisoned.is_empty() {
         iotmap_obs::count!("par.shard_panics", poisoned.len() as u64);
-        if poisoned.len() > quarantine_budget(chunk_count) {
-            iotmap_obs::count!("par.quarantine_over_budget", 1);
-            let (_, payload) = poisoned.swap_remove(0);
+        let fatal = poisoned.iter().position(|(_, p)| !retryable(p.as_ref()));
+        if fatal.is_some() || poisoned.len() > quarantine_budget(shards) {
+            if fatal.is_none() {
+                iotmap_obs::count!("par.quarantine_over_budget", 1);
+            }
+            let (_, payload) = poisoned.swap_remove(fatal.unwrap_or(0));
             resume_unwind(payload);
         }
-        // Serial quarantine retry, in shard order, injection disarmed:
-        // `f` only reads its `&[T]` slice, so the retry observes exactly
-        // what the poisoned worker did. A second panic here is a genuine
-        // bug and propagates.
+        // Serial quarantine retry, in shard order, injection disarmed. A
+        // second panic here is a genuine bug and propagates.
         for (index, _payload) in poisoned {
             iotmap_obs::count!("par.shards_quarantined", 1);
             quarantined.push(index);
-            let offset = index * chunk;
-            let slice = &items[offset..(offset + chunk).min(items.len())];
-            let ctx = ShardCtx {
-                index,
-                shards,
-                offset,
-            };
-            results[index] = Some(run_shard(instrumented, || f(ctx, slice)));
+            let ctx = ctx(index);
+            let c = &mut chunks[index];
+            results[index] = Some(run_shard(instrumented, || body(ctx, c)));
         }
     }
 
@@ -266,10 +307,10 @@ where
                 let offset = index * chunk;
                 let attr = ShardAttribution {
                     shard: index as u64,
-                    items: ((offset + chunk).min(items.len()) - offset) as u64,
+                    items: ((offset + chunk).min(total) - offset) as u64,
                     quarantined: quarantined.contains(&index),
                 };
-                iotmap_obs::merge_child_report_attributed(&report, &attr);
+                iotmap_obs::merge_child_report(&report, Some(&attr));
             }
             out
         })
@@ -322,102 +363,31 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let budget = threads();
-    if budget <= 1 || items.len() <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-
-    let shards = budget.min(items.len());
-    let chunk = items.len().div_ceil(shards);
-    let instrumented = iotmap_obs::enabled();
-    let armed = crash::armed();
-
-    let chunk_count = items.len().div_ceil(chunk);
-    let mut per_shard: Vec<Option<(Vec<R>, Option<RunReport>)>> = Vec::new();
-    per_shard.resize_with(chunk_count, || None);
-    let mut poisoned: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(index, slice)| {
-                let offset = index * chunk;
-                let f = &f;
-                let armed = armed.clone();
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(move || {
-                        run_shard(instrumented, move || {
-                            // Injection fires before the first item is
-                            // touched, so a quarantined injected crash
-                            // leaves a pristine chunk behind.
-                            maybe_crash_shard(&armed, index);
-                            slice
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(i, item)| f(offset + i, item))
-                                .collect::<Vec<R>>()
-                        })
-                    }))
-                })
-            })
-            .collect();
-        for (index, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(Ok(out)) => per_shard[index] = Some(out),
-                Ok(Err(payload)) | Err(payload) => poisoned.push((index, payload)),
-            }
-        }
-    });
-
-    let mut quarantined: Vec<usize> = Vec::new();
-    if !poisoned.is_empty() {
-        iotmap_obs::count!("par.shard_panics", poisoned.len() as u64);
-        // A genuine panic may have torn its `&mut` chunk mid-mutation,
-        // so only entry-injected crashes (whose payload proves no item
-        // was touched) are safe to quarantine and retry here.
-        let real = poisoned
-            .iter()
-            .position(|(_, p)| p.downcast_ref::<crash::InjectedCrash>().is_none());
-        if real.is_some() || poisoned.len() > quarantine_budget(chunk_count) {
-            if real.is_none() {
-                iotmap_obs::count!("par.quarantine_over_budget", 1);
-            }
-            let (_, payload) = poisoned.swap_remove(real.unwrap_or(0));
-            resume_unwind(payload);
-        }
-        for (index, _payload) in poisoned {
-            iotmap_obs::count!("par.shards_quarantined", 1);
-            quarantined.push(index);
-            let offset = index * chunk;
-            let end = (offset + chunk).min(items.len());
-            let slice = &mut items[offset..end];
-            per_shard[index] = Some(run_shard(instrumented, || {
-                slice
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, item)| f(offset + i, item))
-                    .collect::<Vec<R>>()
-            }));
-        }
-    }
-
     let total = items.len();
+    let chunk = shard_len(total);
+    let chunks = if chunk < total {
+        items.chunks_mut(chunk).collect()
+    } else {
+        vec![items]
+    };
+    // A genuine panic may have torn its `&mut` chunk mid-mutation, so only
+    // entry-injected crashes (whose payload proves no item was touched)
+    // are safe to quarantine and retry.
+    let per_shard = fan_out(
+        chunks,
+        total,
+        chunk,
+        |payload| payload.is::<crash::InjectedCrash>(),
+        |ctx, slice| {
+            slice
+                .iter_mut()
+                .enumerate()
+                .map(|(i, item)| f(ctx.offset + i, item))
+                .collect::<Vec<R>>()
+        },
+    );
     let mut out = Vec::with_capacity(total);
-    for (index, entry) in per_shard.into_iter().enumerate() {
-        let (shard, report) = entry.expect("every shard resolved or aborted");
-        if let Some(report) = report {
-            let offset = index * chunk;
-            let attr = ShardAttribution {
-                shard: index as u64,
-                items: ((offset + chunk).min(total) - offset) as u64,
-                quarantined: quarantined.contains(&index),
-            };
-            iotmap_obs::merge_child_report_attributed(&report, &attr);
-        }
+    for shard in per_shard {
         out.extend(shard);
     }
     out
@@ -560,6 +530,12 @@ mod tests {
             with_threads(8, || shard_map(&one, |i, x| (i, *x))),
             vec![(0, 7)]
         );
+        // The inline shape is one shard even for no items, so a fold
+        // still gets its accumulator.
+        assert_eq!(
+            with_threads(8, || shard_fold(&empty, |_| 5, |_, _, _| {}, |_, _| {})),
+            5
+        );
     }
 
     #[test]
@@ -575,6 +551,10 @@ mod tests {
             next += len;
         }
         assert_eq!(next, items.len());
+        // 9 items at 4 threads make 3 chunks of 3: `shards` counts the
+        // shards that run, not the thread budget.
+        let shards = with_threads(4, || shard_chunks(&items[..9], |ctx, _| ctx.shards));
+        assert_eq!(shards, vec![3, 3, 3]);
     }
 
     #[test]
@@ -722,31 +702,40 @@ mod tests {
         assert_eq!(threads(), 1, "budget restored after abort");
     }
 
+    const SHARD_CRASHES: iotmap_faults::CrashFaults = iotmap_faults::CrashFaults {
+        shard_rate: 0.3,
+        max_crashes: 1,
+        ..iotmap_faults::CrashFaults::NONE
+    };
+
+    /// The shards of a 4-shard `par.test` call that [`SHARD_CRASHES`]
+    /// poisons under `seed`.
+    fn poisoned_shards(seed: u64) -> Vec<usize> {
+        use iotmap_faults::crash;
+        crash::arm(seed, &SHARD_CRASHES, "par.test", 0);
+        let ctx = crash::armed().expect("armed");
+        crash::disarm();
+        (0..4)
+            .filter(|&s| crash::shard_should_crash(&ctx, s))
+            .collect()
+    }
+
+    /// A seed whose rolls poison at least one but no more than budget
+    /// (= 2 of 4) shards, so containment — not abort — runs.
+    fn contained_crash_seed() -> u64 {
+        (0..200u64)
+            .find(|&seed| (1..=2).contains(&poisoned_shards(seed).len()))
+            .expect("some seed poisons 1-2 of 4 shards")
+    }
+
     #[test]
     fn injected_shard_crashes_are_contained() {
-        use iotmap_faults::{crash, CrashFaults};
-        // Find a seed whose rolls poison at least one but no more than
-        // budget (= 2 of 4) shards, so containment — not abort — runs.
-        let faults = CrashFaults {
-            shard_rate: 0.3,
-            max_crashes: 1,
-            ..CrashFaults::NONE
-        };
-        let seed = (0..200u64)
-            .find(|&seed| {
-                crash::arm(seed, &faults, "par.test", 0);
-                let ctx = crash::armed().expect("armed");
-                crash::disarm();
-                let hits = (0..4)
-                    .filter(|&s| crash::shard_should_crash(&ctx, s))
-                    .count();
-                (1..=2).contains(&hits)
-            })
-            .expect("some seed poisons 1-2 of 4 shards");
+        use iotmap_faults::crash;
+        let seed = contained_crash_seed();
 
         let items: Vec<u64> = (0..40).collect();
         let serial = shard_map(&items, |i, x| (i as u64) ^ (x * 3));
-        crash::arm(seed, &faults, "par.test", 0);
+        crash::arm(seed, &SHARD_CRASHES, "par.test", 0);
         let parallel = with_threads(4, || shard_map(&items, |i, x| (i as u64) ^ (x * 3)));
         crash::disarm();
         assert_eq!(parallel, serial, "contained crashes never change output");
@@ -755,16 +744,68 @@ mod tests {
         let mut serial_items: Vec<u64> = (0..40).collect();
         shard_map_mut(&mut serial_items, |i, x| *x += i as u64);
         let mut par_items: Vec<u64> = (0..40).collect();
-        crash::arm(seed, &faults, "par.test", 0);
+        crash::arm(seed, &SHARD_CRASHES, "par.test", 0);
         with_threads(4, || shard_map_mut(&mut par_items, |i, x| *x += i as u64));
         crash::disarm();
         assert_eq!(par_items, serial_items);
     }
 
     #[test]
+    fn instrumented_mut_shards_merge_attributed_reports_through_quarantine() {
+        use iotmap_faults::crash;
+        let seed = contained_crash_seed();
+        let run = |armed: bool| {
+            let registry = Rc::new(Registry::new());
+            iotmap_obs::install(registry.clone());
+            let mut items: Vec<u64> = (0..40).collect();
+            if armed {
+                crash::arm(seed, &SHARD_CRASHES, "par.test", 0);
+            }
+            {
+                let _outer = iotmap_obs::span!("par.test.outer");
+                with_threads(4, || {
+                    shard_map_mut(&mut items, |i, x| {
+                        let _step = iotmap_obs::span!("par.test.step");
+                        iotmap_obs::count!("par.test.items", 1);
+                        *x += i as u64;
+                    })
+                });
+            }
+            crash::disarm();
+            iotmap_obs::uninstall();
+            (items, registry.report())
+        };
+        let (clean_items, clean) = run(false);
+        let (items, report) = run(true);
+        assert_eq!(items, clean_items, "quarantine reproduces the clean run");
+
+        let poisoned = poisoned_shards(seed);
+        let n = poisoned.len() as u64;
+        let mut counters = report.counters.clone();
+        assert_eq!(counters.remove("par.shard_panics"), Some(n));
+        assert_eq!(counters.remove("par.shards_quarantined"), Some(n));
+        assert_eq!(counters, clean.counters, "same counters as the clean run");
+        assert_eq!(counters.get("par.test.items"), Some(&40));
+
+        // Four shards of ten items: each merged per-item root carries its
+        // shard, the shard's item count and, if retried, the marker.
+        let outer = &report.spans[0];
+        assert_eq!(outer.children.len(), 40);
+        for (i, step) in outer.children.iter().enumerate() {
+            let shard = i / 10;
+            assert_eq!(step.meta_value("shard"), Some(shard as u64));
+            assert_eq!(step.meta_value("items"), Some(10));
+            let retried = poisoned.contains(&shard).then_some(1);
+            assert_eq!(step.meta_value("quarantined"), retried, "item {i}");
+        }
+    }
+
+    #[test]
     fn genuine_panics_in_mut_shards_propagate() {
         // shard_map_mut cannot prove a real panic left its chunk intact,
         // so it must not retry — the panic propagates to the caller.
+        let registry = Rc::new(Registry::new());
+        iotmap_obs::install(registry.clone());
         let mut items: Vec<u64> = (0..40).collect();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_threads(4, || {
@@ -776,7 +817,13 @@ mod tests {
                 })
             })
         }));
-        assert!(caught.is_err());
+        iotmap_obs::uninstall();
+        let payload = caught.expect_err("the panic propagates");
+        assert!(!payload.is::<iotmap_faults::crash::InjectedCrash>());
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"torn mutation"));
+        let report = registry.report();
+        assert_eq!(report.counters.get("par.shard_panics"), Some(&1));
+        assert!(!report.counters.contains_key("par.shards_quarantined"));
     }
 
     #[test]

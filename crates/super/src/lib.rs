@@ -17,7 +17,7 @@
 //! * **Checkpoint/resume** — after each completed stage the supervisor
 //!   serializes the stage's artifact into a [`CheckpointStore`]
 //!   (std-only, length-prefixed binary, FNV-1a checksum, run fingerprint
-//!   in the header; see [`checkpoint`]). A resumed run restores stages
+//!   in the header; see the `checkpoint` module). A resumed run restores stages
 //!   whose checkpoints verify and recomputes the rest — corrupted or
 //!   mismatched files are detected, reported, and discarded, never
 //!   trusted.

@@ -81,7 +81,7 @@ fn bucket_of(continent: Option<Continent>) -> usize {
 pub const BUCKET_LABELS: [&str; 4] = ["EU", "US", "Asia", "Other"];
 
 /// One shard's accumulated aggregates. Every field joins commutatively
-/// under [`AnalysisPartial::merge`], which is what keeps sharded runs
+/// under [`FlowFold::merge`], which is what keeps sharded runs
 /// byte-identical to serial ones.
 #[derive(Debug, Clone)]
 pub struct AnalysisPartial {
@@ -206,7 +206,7 @@ impl AnalysisPartial {
         report
             .histograms
             .insert("traffic.analysis.flow_bytes".to_string(), snap);
-        iotmap_obs::merge_child_report(&report);
+        iotmap_obs::merge_child_report(&report, None);
     }
 }
 

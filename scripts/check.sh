@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Lint + format + fault-matrix gate, the same commands CI runs
+# Lint + format + rustdoc + fault-matrix gate, the same commands CI runs
 # (.github/workflows/ci.yml).
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -27,6 +27,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets (allocation lints promoted)"
 cargo clippy --workspace --all-targets -- -D warnings \
   -W clippy::redundant_clone -W clippy::inefficient_to_string
+
+# Doc comments must resolve: a stale intra-doc link (to a renamed or
+# private item) fails here instead of rotting silently.
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The CI fault matrix, condensed: degraded runs must complete cleanly
 # at every point of (--faults × --threads).

@@ -1015,7 +1015,7 @@ pub mod prelude {
     };
     pub use iotmap_delta::WorldDelta;
     pub use iotmap_nettypes::{Date, DomainName, Error, SimRng, StudyPeriod};
-    pub use iotmap_obs::{Recorder, Registry, RunReport};
+    pub use iotmap_obs::{Registry, RunReport};
     pub use iotmap_par::{set_threads, with_threads};
     pub use iotmap_scenario::Scenario;
     pub use iotmap_super::{CheckpointStore, StagePolicy, Supervisor};
