@@ -1542,6 +1542,9 @@ fn run_bench(
                     ("isp_replicas", scaled.isp_replicas.into()),
                     ("isp_lines", scaled.isp_lines.into()),
                     ("isp_ms", Value::fixed(scaled.isp_ms, 3)),
+                    ("isp_contact_ms", Value::fixed(scaled.isp_contact_ms, 3)),
+                    ("isp_exclusion_ms", Value::fixed(scaled.isp_exclusion_ms, 3)),
+                    ("isp_analysis_ms", Value::fixed(scaled.isp_analysis_ms, 3)),
                     ("isp_total_dn_bytes", scaled.isp_total_dn_bytes.into()),
                 ]),
             ),
@@ -1572,6 +1575,10 @@ fn run_bench(
     println!(
         "  scaled ISP pass      : {:9.1} ms  ({} replicas, {} lines, 1 day)",
         scaled.isp_ms, scaled.isp_replicas, scaled.isp_lines
+    );
+    println!(
+        "    contact / exclusion / analysis : {:.1} / {:.1} / {:.1} ms",
+        scaled.isp_contact_ms, scaled.isp_exclusion_ms, scaled.isp_analysis_ms
     );
     println!(
         "  peak RSS             : {:9.1} MiB  (ceiling {} MiB)",
@@ -1653,7 +1660,14 @@ const SCALED_RSS_CEILING_BYTES: u64 = 6 * 1024 * 1024 * 1024;
 struct ScaledBench {
     isp_replicas: u64,
     isp_lines: u64,
+    /// The whole ISP pass: the sum of its three layers below.
     isp_ms: f64,
+    /// Contact pass over the base population (scanner evidence).
+    isp_contact_ms: f64,
+    /// Scanner exclusion over the contact sets.
+    isp_exclusion_ms: f64,
+    /// The replicated analysis pass.
+    isp_analysis_ms: f64,
     isp_total_dn_bytes: u64,
 }
 
@@ -1679,10 +1693,14 @@ fn run_bench_scaled(exp: &Experiment, period: StudyPeriod, scale: u64) -> Scaled
     );
     let t = std::time::Instant::now();
     let contacts = exp.contact_pass(day);
+    let isp_contact_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = std::time::Instant::now();
     let excluded = exp.excluded_lines(&contacts);
     drop(contacts);
+    let isp_exclusion_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = std::time::Instant::now();
     let isp_report = exp.scaled_analysis_pass(day, isp_replicas, &excluded);
-    let isp_ms = t.elapsed().as_secs_f64() * 1e3;
+    let isp_analysis_ms = t.elapsed().as_secs_f64() * 1e3;
     let isp_total_dn_bytes: u64 = isp_report
         .providers()
         .iter()
@@ -1692,7 +1710,10 @@ fn run_bench_scaled(exp: &Experiment, period: StudyPeriod, scale: u64) -> Scaled
     ScaledBench {
         isp_replicas,
         isp_lines: isp_replicas * lines,
-        isp_ms,
+        isp_ms: isp_contact_ms + isp_exclusion_ms + isp_analysis_ms,
+        isp_contact_ms,
+        isp_exclusion_ms,
+        isp_analysis_ms,
         isp_total_dn_bytes,
     }
 }

@@ -74,28 +74,35 @@ impl BorderRouter {
         }
     }
 
-    /// Process one true flow and append the exported record, if any, to
-    /// `out`.
-    pub fn process(&mut self, true_flow: &FlowRecord, out: &mut Vec<FlowRecord>) {
-        if true_flow.line.0 > self.max_line {
-            self.spoofed_dropped += 1;
-            return;
-        }
-        match self.sampler.sample(true_flow) {
-            None => self.sampled_out += 1,
-            Some(mut est) => {
-                // Export faults come after the sampler so its RNG stream —
-                // and therefore every surviving estimate — is unchanged by
-                // the fault layer. Without a fault plan neither roll (nor
-                // its key) is computed.
-                if self.faults.is_active() && self.export_fault(true_flow) {
-                    return;
-                }
-                est.line = self.anonymizer.anonymize(true_flow.line);
-                self.exported += 1;
-                out.push(est);
+    /// Route a buffer of true flows in place: every flow is either
+    /// dropped or replaced by its exported estimate, in buffer order.
+    ///
+    /// Each flow passes the spoof check, the sampler, the export-fault
+    /// rolls and the anonymizer, in that order, so routing a sequence in
+    /// one call or in consecutive pieces consumes the sampler's RNG
+    /// stream identically.
+    pub fn route(&mut self, flows: &mut Vec<FlowRecord>) {
+        flows.retain_mut(|flow| {
+            if flow.line.0 > self.max_line {
+                self.spoofed_dropped += 1;
+                return false;
             }
-        }
+            let Some(mut est) = self.sampler.sample(flow) else {
+                self.sampled_out += 1;
+                return false;
+            };
+            // Export faults come after the sampler so its RNG stream —
+            // and therefore every surviving estimate — is unchanged by
+            // the fault layer. Without a fault plan neither roll (nor
+            // its key) is computed.
+            if self.faults.is_active() && self.export_fault(flow) {
+                return false;
+            }
+            est.line = self.anonymizer.anonymize(flow.line);
+            self.exported += 1;
+            *flow = est;
+            true
+        });
     }
 
     /// Roll the export faults for one sampled flow, accounting a drop.
@@ -159,12 +166,17 @@ mod tests {
         }
     }
 
+    /// Route `flows` through `r` in one call, returning the exports.
+    fn routed(r: &mut BorderRouter, flows: &[FlowRecord]) -> Vec<FlowRecord> {
+        let mut buf = flows.to_vec();
+        r.route(&mut buf);
+        buf
+    }
+
     #[test]
     fn spoofed_sources_dropped() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut out = Vec::new();
-        r.process(&flow(100, 10, 1), &mut out);
-        r.process(&flow(99, 10, 1), &mut out);
+        let out = routed(&mut r, &[flow(100, 10, 1), flow(99, 10, 1)]);
         assert_eq!(r.spoofed_dropped, 1);
         assert_eq!(out.len(), 1);
     }
@@ -172,22 +184,21 @@ mod tests {
     #[test]
     fn lines_are_anonymized_consistently() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut out = Vec::new();
-        r.process(&flow(5, 10, 1), &mut out);
-        r.process(&flow(5, 20, 1), &mut out);
-        r.process(&flow(6, 30, 1), &mut out);
+        let out = routed(&mut r, &[flow(5, 10, 1), flow(5, 20, 1), flow(6, 30, 1)]);
         assert_ne!(out[0].line, LineId(5));
         assert_eq!(out[0].line, out[1].line);
         assert_ne!(out[0].line, out[2].line);
+        assert_eq!(
+            out.iter().map(|f| f.bytes).collect::<Vec<_>>(),
+            [10, 20, 30],
+            "exports keep buffer order"
+        );
     }
 
     #[test]
     fn sampling_accounted() {
         let mut r = BorderRouter::new(1000, 99, 7, SimRng::new(2));
-        let mut out = Vec::new();
-        for _ in 0..500 {
-            r.process(&flow(1, 100, 1), &mut out);
-        }
+        let out = routed(&mut r, &vec![flow(1, 100, 1); 500]);
         assert_eq!(r.exported + r.sampled_out, 500);
         assert!(r.sampled_out > 450, "sampled_out {}", r.sampled_out);
         assert_eq!(out.len() as u64, r.exported);
@@ -196,39 +207,43 @@ mod tests {
     #[test]
     fn unsampled_router_exports_everything() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(3));
-        let mut out = Vec::new();
-        for i in 0..50 {
-            r.process(&flow(i % 10, 100, 5), &mut out);
-        }
+        let flows: Vec<FlowRecord> = (0..50).map(|i| flow(i % 10, 100, 5)).collect();
+        let out = routed(&mut r, &flows);
         assert_eq!(r.exported, 50);
         assert_eq!(out.len(), 50);
         assert_eq!(out[0].bytes, 100);
     }
 
-    /// The router makes the only export-fault rolls: they are pure
-    /// (identical reruns), a zero rate drops nothing, a heavier plan's
-    /// survivors all survive a lighter plan, and every processed flow is
-    /// accounted for exactly once.
-    #[test]
-    fn export_faults_are_deterministic_nested_and_accounted() {
-        let flows: Vec<FlowRecord> = (0..400u64)
+    /// 400 flows over two days and 200 remotes; lines above 99 are
+    /// spoofed and dropped before sampling.
+    fn mixed_flows() -> Vec<FlowRecord> {
+        (0..400u64)
             .map(|i| FlowRecord {
                 time: Date::new(2022, 3, 1).midnight() + SimDuration::hours(i % 48),
                 remote: format!("192.0.2.{}", i % 200).parse().unwrap(),
-                // Lines above 99 are spoofed and dropped before sampling.
                 ..flow(i % 110, 100 * (i + 1), 1 + i % 3)
             })
-            .collect();
+            .collect()
+    }
+
+    fn faulted_router(export_drop_rate: f64, reset_rate: f64) -> BorderRouter {
+        let faults = NetflowFaults {
+            export_drop_rate,
+            reset_rate,
+        };
+        BorderRouter::with_faults(2, 99, 7, SimRng::new(4), 11, faults)
+    }
+
+    /// The router makes the only export-fault rolls: they are pure
+    /// (identical reruns), a zero rate drops nothing, a heavier plan's
+    /// survivors all survive a lighter plan, and every routed flow is
+    /// accounted for exactly once.
+    #[test]
+    fn export_faults_are_deterministic_nested_and_accounted() {
+        let flows = mixed_flows();
         let run = |export_drop_rate: f64, reset_rate: f64| {
-            let faults = NetflowFaults {
-                export_drop_rate,
-                reset_rate,
-            };
-            let mut r = BorderRouter::with_faults(2, 99, 7, SimRng::new(4), 11, faults);
-            let mut out = Vec::new();
-            for f in &flows {
-                r.process(f, &mut out);
-            }
+            let mut r = faulted_router(export_drop_rate, reset_rate);
+            let out = routed(&mut r, &flows);
             assert_eq!(
                 r.exported + r.sampled_out + r.spoofed_dropped + r.export_dropped,
                 flows.len() as u64,
@@ -239,12 +254,7 @@ mod tests {
         };
         assert_eq!(run(0.3, 0.1), run(0.3, 0.1), "pure rolls: identical reruns");
         let clean = run(0.0, 0.0);
-        let unfaulted = {
-            let mut r = BorderRouter::new(2, 99, 7, SimRng::new(4));
-            let mut out = Vec::new();
-            flows.iter().for_each(|f| r.process(f, &mut out));
-            out
-        };
+        let unfaulted = routed(&mut BorderRouter::new(2, 99, 7, SimRng::new(4)), &flows);
         assert_eq!(clean, unfaulted, "zero rate drops nothing");
         let (light, heavy) = (run(0.1, 0.05), run(0.5, 0.2));
         assert!(heavy.len() < light.len() && light.len() < clean.len());
@@ -253,5 +263,35 @@ mod tests {
         // the same estimates).
         assert!(heavy.iter().all(|r| light.contains(r)));
         assert!(light.iter().all(|r| clean.contains(r)));
+    }
+
+    /// Routing is a stream operation: one buffer routed in one call
+    /// equals the same flows routed as consecutive pieces through one
+    /// router, at 1:N sampling under an active fault plan — same
+    /// exports in the same order, same drop accounting.
+    #[test]
+    fn routing_in_pieces_equals_routing_in_one_call() {
+        let flows = mixed_flows();
+        let mut whole = faulted_router(0.2, 0.1);
+        let once = routed(&mut whole, &flows);
+        assert!(whole.sampled_out > 0 && whole.export_dropped > 0 && whole.spoofed_dropped > 0);
+        for piece in [1, 7, 64, 399] {
+            let mut r = faulted_router(0.2, 0.1);
+            let pieces: Vec<FlowRecord> = flows
+                .chunks(piece)
+                .flat_map(|chunk| routed(&mut r, chunk))
+                .collect();
+            assert_eq!(pieces, once, "pieces of {piece}");
+            let tallies = |r: &BorderRouter| {
+                (
+                    r.spoofed_dropped,
+                    r.sampled_out,
+                    r.exported,
+                    r.export_dropped,
+                    r.reset_dropped,
+                )
+            };
+            assert_eq!(tallies(&r), tallies(&whole), "pieces of {piece}");
+        }
     }
 }

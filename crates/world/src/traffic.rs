@@ -20,6 +20,7 @@ use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, LineId, Stor
 use iotmap_nettypes::{dist, Continent, Date, DomainName, SimDuration, SimRng, StudyPeriod};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
+use std::time::Instant;
 
 /// Lines per generation block: bounds buffered flows regardless of
 /// population size.
@@ -174,7 +175,17 @@ impl<'a> TrafficSimulator<'a> {
         let mut stats = TrafficStats::default();
         let mut acc = fold.make();
         let flow_span = iotmap_obs::span!("netflow.flow_generation");
-        let mut exported: Vec<FlowRecord> = Vec::new();
+        // Wall time per layer, summed over blocks: generate, route,
+        // fold, merge.
+        let mut layer_ns = [0u64; 4];
+        let mut lap = {
+            let mut last = Instant::now();
+            move |layer: &mut u64| {
+                let now = Instant::now();
+                *layer += now.duration_since(last).as_nanos() as u64;
+                last = now;
+            }
+        };
         for rep in 0..replicas {
             for block in world.isp.lines.chunks(BLOCK_LINES) {
                 let replica_block: Vec<SubscriberLine>;
@@ -192,28 +203,37 @@ impl<'a> TrafficSimulator<'a> {
                         .collect();
                     &replica_block
                 };
-                let buffers = self.block_flows(block, period, &affected, &rng);
-                exported.clear();
-                for (flows, line_stats) in buffers {
+                let mut buffers = self.block_flows(block, period, &affected, &rng);
+                lap(&mut layer_ns[0]);
+                for (flows, line_stats) in &mut buffers {
                     stats.flows_generated += line_stats.flows_generated;
                     stats.device_days += line_stats.device_days;
-                    for record in &flows {
-                        router.process(record, &mut exported);
-                    }
+                    router.route(flows);
                 }
+                lap(&mut layer_ns[1]);
                 let partial = iotmap_par::shard_fold(
-                    &exported,
+                    &buffers,
                     |_| fold.make(),
-                    |acc, _i, r| fold.fold(acc, r),
+                    |acc, _i, (flows, _)| flows.iter().for_each(|r| fold.fold(acc, r)),
                     |a, b| fold.merge(a, b),
                 );
+                drop(buffers);
+                lap(&mut layer_ns[2]);
                 fold.merge(&mut acc, partial);
+                lap(&mut layer_ns[3]);
             }
         }
         stats.flows_exported = router.exported;
-        // Item counts on the pass span, so a trace shows ns/flow per pass.
+        // Item counts and per-layer wall time on the pass span, so a
+        // trace shows ns/flow per pass and per layer.
         iotmap_obs::annotate!("flows_generated", stats.flows_generated);
         iotmap_obs::annotate!("flows_exported", stats.flows_exported);
+        for (key, ns) in ["generate_ns", "route_ns", "fold_ns", "merge_ns"]
+            .into_iter()
+            .zip(layer_ns)
+        {
+            iotmap_obs::annotate!(key, ns);
+        }
         drop(flow_span);
         router.flush_metrics();
         iotmap_obs::count!("netflow.flows_generated", stats.flows_generated);
@@ -235,8 +255,8 @@ impl<'a> TrafficSimulator<'a> {
     /// Flow generation is pure per line (every line forks its RNG by id),
     /// so lines shard freely; only the border router is a shared,
     /// order-sensitive stage (its sampler RNG advances per record). Each
-    /// block's buffers are then routed serially in line order — the
-    /// router consumes the exact record sequence of a serial loop, so
+    /// block's buffers are then routed in place, serially in line order —
+    /// the router consumes the exact record sequence of a serial loop, so
     /// exports stay byte-identical at any thread count while buffering
     /// stays bounded.
     fn block_flows(

@@ -45,6 +45,22 @@ for faults in none heavy; do
   done
 done
 
+# The §5 figures must not depend on the thread count under faults: the
+# border router drops faulted flows in place, and fig11 orders ports
+# whose shares tie by map iteration order.
+echo "==> §5 thread invariance under faults (exp fig11|fig12a --threads 1 vs 4)"
+tmp_figs="$(mktemp -d)"
+for fig in fig11 fig12a; do
+  for threads in 1 4; do
+    cargo run --release -q -p iotmap-bench --bin exp -- \
+      "$fig" --preset small --seed 42 --faults heavy --threads "$threads" \
+      >"$tmp_figs/$fig.$threads"
+  done
+  diff -u "$tmp_figs/$fig.1" "$tmp_figs/$fig.4" \
+    || { echo "exp $fig differs between --threads 1 and 4 under --faults heavy"; exit 1; }
+done
+rm -rf "$tmp_figs"
+
 # The CI crash-recovery gate, condensed: kill the run after every stage
 # boundary, resume from checkpoints, and demand byte-identical artifacts
 # (plus a chaos pass with contained stage/shard panics). The full
@@ -78,8 +94,8 @@ PY
 # The CI scale-smoke gate, condensed: the --scale phase must stream the
 # replicated ISP pass block by block — the binary itself enforces the
 # documented peak-RSS ceiling and the history gate; the greps re-assert
-# that a real (non-zero) RSS reading and the replicated ISP lines
-# landed in the report.
+# that a real (non-zero) RSS reading, the replicated ISP lines and the
+# ISP pass's contact / exclusion / analysis split landed in the report.
 echo "==> scale smoke (exp bench --preset small --scale 4 --gate)"
 cargo run --release -q -p iotmap-bench --bin exp -- \
   bench --preset small --seed 42 --threads 1 --scale 4 \
@@ -88,6 +104,9 @@ grep -q '"peak_rss_bytes": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
   || { echo "peak_rss_bytes missing from BENCH_pipeline.json"; exit 1; }
 grep -q '"isp_replicas": 4,' "$tmp_bench/BENCH_pipeline.json" \
   && grep -q '"isp_lines": [1-9]' "$tmp_bench/BENCH_pipeline.json" \
+  && grep -q '"isp_contact_ms": [0-9]' "$tmp_bench/BENCH_pipeline.json" \
+  && grep -q '"isp_exclusion_ms": [0-9]' "$tmp_bench/BENCH_pipeline.json" \
+  && grep -q '"isp_analysis_ms": [0-9]' "$tmp_bench/BENCH_pipeline.json" \
   || { echo "scaled.isp_* missing from BENCH_pipeline.json"; exit 1; }
 check_json "$tmp_bench/BENCH_pipeline.json" "$tmp_bench/scale_history.jsonl"
 

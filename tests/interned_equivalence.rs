@@ -88,7 +88,7 @@ fn find_span<'a>(
 /// The folds count their flows in the partials and flush once per pass,
 /// so the metrics must be the per-flow values — independent of how the
 /// stream was sharded — and the flow-generation span must carry the
-/// pass's flow counts.
+/// pass's flow counts and its per-layer times.
 #[test]
 fn fold_metrics_are_per_flow_values_at_any_thread_count() {
     let artifacts = Pipeline::new(WorldConfig::small(42))
@@ -162,6 +162,11 @@ fn fold_metrics_are_per_flow_values_at_any_thread_count() {
                 Some(report.counters["netflow.flows_generated"] / 2),
                 "{pass}"
             );
+            // Per-layer wall time, summed over the pass's blocks.
+            for layer in ["generate_ns", "route_ns", "fold_ns", "merge_ns"] {
+                let ns = flows.meta_value(layer);
+                assert!(ns.is_some_and(|ns| ns > 0), "{pass}: {layer} = {ns:?}");
+            }
         }
     }
     // Buckets, count, sum, min and max all agree across thread counts.
