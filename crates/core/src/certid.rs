@@ -16,9 +16,9 @@
 //! * [`evidence_memos`] precomputes each matched pair's
 //!   [`CertEvidence`] — the minimum region hint and the
 //!   lexicographically smallest matched names (the same capped
-//!   semilattice as `IpEvidence`), which the per-record fold replays
-//!   with order-insensitive joins. Replaying the memo is byte-identical
-//!   to re-walking the cert's names for every record.
+//!   semilattice that `IpEvidence::join` joins), which the per-record
+//!   fold replays with order-insensitive joins. Replaying the memo is
+//!   byte-identical to re-walking the cert's names for every record.
 
 use crate::discovery::{join_hint, note_smallest};
 use crate::matcher::MatchTable;

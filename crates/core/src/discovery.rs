@@ -15,9 +15,12 @@
 //! [`crate::matcher::MatchEngine`] classifies every record against all
 //! sixteen providers at once (literal-suffix index lookups plus a combined
 //! fallback VM), then one `iotmap-par::shard_fold` over the records
-//! accumulates per-provider partial evidence which merges in shard order —
-//! so a multi-threaded run is byte-identical to a serial one, and the
-//! record corpus is walked once instead of once per provider.
+//! accumulates per-provider [`IpEvidence`] maps that `IpEvidence::join`
+//! merges in shard order and then onto the result — so a multi-threaded
+//! run is byte-identical to a serial one, and the record corpus is walked
+//! once instead of once per provider. The two certificate channels (IPv4
+//! snapshots and IPv6 banner grabs) are one harvest over
+//! `(day, ip, certificate, location)` rows.
 //!
 //! [`DiscoveryPipeline::run_fanout`] keeps the original per-provider
 //! fan-out (sixteen full scans, one worker per provider) as the reference
@@ -25,16 +28,20 @@
 //! pin the engine's output to it byte-for-byte. It is a test oracle, not
 //! a production path, so no benchmark times it.
 
-use crate::matcher::MatchEngine;
-use crate::patterns::PatternRegistry;
+use crate::certid::{evidence_memos, CertSet, CertVerifyMemo};
+use crate::matcher::{MatchEngine, MatchTable};
+use crate::patterns::{PatternRegistry, ProviderPatterns};
 use crate::sources::DataSources;
-use iotmap_dns::{ActiveCampaign, RData};
+use iotmap_dns::{ActiveCampaign, PassiveDnsDb, RData};
 use iotmap_faults::ActiveDnsFaults;
 use iotmap_nettypes::{DomainName, Error, Location, StudyPeriod, SuffixIndex};
 use iotmap_scan::zgrab::filter_records;
-use iotmap_scan::CensysRecord;
+use iotmap_scan::CensysSnapshot;
+use iotmap_tls::Certificate;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::IpAddr;
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// One discovery channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,10 +132,10 @@ impl SourceSet {
 /// associative, and idempotent (`sources`/`days` are set unions,
 /// `matched_names` keeps the lexicographically smallest
 /// `MAX_MATCHED_NAMES` (12) names, the two options keep their smallest
-/// `Some`). That is what lets sharded partials merge in any grouping,
-/// lets the incremental engine re-apply a record's evidence without
-/// drift, and makes a rolled-forward run byte-identical to a
-/// from-scratch one.
+/// `Some`), and `IpEvidence::join` joins all five. That is what lets
+/// sharded partials merge in any grouping, lets the incremental engine
+/// re-apply a record's evidence without drift, and makes a rolled-forward
+/// run byte-identical to a from-scratch one.
 #[derive(Debug, Clone, Default)]
 pub struct IpEvidence {
     pub sources: SourceSet,
@@ -156,20 +163,48 @@ impl IpEvidence {
     pub(crate) fn note_location(&mut self, location: Option<Location>) {
         join_location(&mut self.censys_location, location);
     }
+
+    /// Note one passive-DNS row seen under `owner`: the row's `days`
+    /// (already clipped to the period) plus the owner's region hint and
+    /// name.
+    pub(crate) fn note_rrset(
+        &mut self,
+        patterns: &ProviderPatterns,
+        owner: &DomainName,
+        days: RangeInclusive<i64>,
+    ) {
+        self.days.extend(days);
+        self.note_hint(patterns.region_hint.extract(owner.as_str()));
+        self.note_name(owner.as_str());
+    }
+
+    /// The lattice join: fold another IP's evidence into this one. It is
+    /// commutative, associative and idempotent, and joining equals noting
+    /// `other`'s facts one by one — so shard partials may merge in any
+    /// grouping before they land on the result.
+    pub(crate) fn join(&mut self, other: IpEvidence) {
+        self.sources.0 |= other.sources.0;
+        self.days.extend(other.days);
+        self.note_hint(other.domain_hint);
+        self.note_location(other.censys_location);
+        for name in other.matched_names {
+            note_smallest(&mut self.matched_names, name);
+        }
+    }
 }
 
 /// Keep the [`MAX_MATCHED_NAMES`] lexicographically smallest distinct
 /// names: insert, then evict the largest when over the cap. The cap is
 /// lossless under joins — the smallest `cap` of a union depend only on
 /// the smallest `cap` of each side.
-pub(crate) fn note_smallest(names: &mut BTreeSet<String>, name: &str) {
+pub(crate) fn note_smallest<S: AsRef<str> + Into<String>>(names: &mut BTreeSet<String>, name: S) {
     if names.len() >= MAX_MATCHED_NAMES {
         match names.last() {
-            Some(max) if name < max.as_str() => {}
+            Some(max) if name.as_ref() < max.as_str() => {}
             _ => return,
         }
     }
-    names.insert(name.to_string());
+    names.insert(name.into());
     if names.len() > MAX_MATCHED_NAMES {
         names.pop_last();
     }
@@ -206,86 +241,28 @@ fn join_location(slot: &mut Option<Location>, candidate: Option<Location>) {
     }
 }
 
-/// Evidence for one IP accumulated by one shard of a single-pass harvest
-/// — the same semilattice as [`IpEvidence`] minus the source bit, so
-/// merging partials (in any grouping) and applying them onto the shared
-/// evidence reproduces the serial fan-out byte-for-byte at any thread
-/// count.
-#[derive(Debug, Clone, Default)]
-struct PartialEvidence {
-    days: BTreeSet<i64>,
-    domain_hint: Option<String>,
-    censys_location: Option<Location>,
-    matched_names: BTreeSet<String>,
-}
-
-impl PartialEvidence {
-    fn note_name(&mut self, name: &str) {
-        note_smallest(&mut self.matched_names, name);
-    }
-
-    fn note_hint(&mut self, hint: Option<String>) {
-        join_hint(&mut self.domain_hint, hint);
-    }
-
-    fn note_location(&mut self, location: Option<Location>) {
-        join_location(&mut self.censys_location, location);
-    }
-
-    /// Fold another shard's evidence in (a lattice join, so the shard
-    /// grouping cannot matter).
-    fn merge(&mut self, other: PartialEvidence) {
-        self.days.extend(other.days);
-        join_hint(&mut self.domain_hint, other.domain_hint);
-        join_location(&mut self.censys_location, other.censys_location);
-        for name in other.matched_names {
-            if self.matched_names.len() >= MAX_MATCHED_NAMES {
-                match self.matched_names.last() {
-                    Some(max) if name < *max => {}
-                    _ => continue,
-                }
-            }
-            self.matched_names.insert(name);
-            if self.matched_names.len() > MAX_MATCHED_NAMES {
-                self.matched_names.pop_last();
-            }
-        }
-    }
-
-    /// Join onto the shared per-provider evidence.
-    fn apply(self, source: Source, entry: &mut IpEvidence) {
-        entry.sources.insert(source);
-        entry.days.extend(self.days);
-        join_hint(&mut entry.domain_hint, self.domain_hint);
-        join_location(&mut entry.censys_location, self.censys_location);
-        for name in self.matched_names {
-            note_smallest(&mut entry.matched_names, &name);
-        }
-    }
-}
+/// One certificate-bearing scan row: the day it counts for, the host, its
+/// certificate, and the scanner's geolocation of the host (Censys only).
+type SanRow<'a> = (i64, IpAddr, &'a Arc<Certificate>, Option<&'a Location>);
 
 /// Per-provider partial state for one shard of the certificate / IPv6
-/// harvests: just the per-IP evidence.
-type IpPartials = Vec<HashMap<IpAddr, PartialEvidence>>;
+/// harvests: per-IP evidence without source bits, which
+/// [`ProviderDiscovery::join_ips`] sets once on apply.
+type IpPartials = Vec<HashMap<IpAddr, IpEvidence>>;
 
-fn merge_ip_partials(
-    a: &mut HashMap<IpAddr, PartialEvidence>,
-    b: HashMap<IpAddr, PartialEvidence>,
-) {
-    for (ip, pe) in b {
-        a.entry(ip).or_default().merge(pe);
+fn merge_ip_partials(a: &mut HashMap<IpAddr, IpEvidence>, b: HashMap<IpAddr, IpEvidence>) {
+    for (ip, ev) in b {
+        a.entry(ip).or_default().join(ev);
     }
 }
 
 /// Apply per-provider IP partials onto the result, one worker per
 /// provider (disjoint `&mut`, no merge step).
 fn apply_ip_partials(result: &mut DiscoveryResult, source: Source, partials: IpPartials) {
-    let mut work: Vec<(&mut ProviderDiscovery, HashMap<IpAddr, PartialEvidence>)> =
+    let mut work: Vec<(&mut ProviderDiscovery, HashMap<IpAddr, IpEvidence>)> =
         result.providers.iter_mut().zip(partials).collect();
     iotmap_par::shard_map_mut(&mut work, |_i, (prov, partial)| {
-        for (ip, pe) in std::mem::take(partial) {
-            pe.apply(source, prov.ips.entry(ip).or_default());
-        }
+        prov.join_ips(source, std::mem::take(partial));
     });
 }
 
@@ -294,7 +271,7 @@ fn apply_ip_partials(result: &mut DiscoveryResult, source: Source, partials: IpP
 /// chase once the direct pass has been applied.
 #[derive(Debug, Clone, Default)]
 struct PdnsPartial {
-    ips: HashMap<IpAddr, PartialEvidence>,
+    ips: HashMap<IpAddr, IpEvidence>,
     domains: BTreeSet<DomainName>,
     cnames: Vec<(DomainName, DomainName)>,
 }
@@ -318,6 +295,20 @@ pub struct ProviderDiscovery {
 }
 
 impl ProviderDiscovery {
+    /// The evidence slot for `ip`, marked as found by `source`.
+    pub(crate) fn evidence(&mut self, ip: IpAddr, source: Source) -> &mut IpEvidence {
+        let ev = self.ips.entry(ip).or_default();
+        ev.sources.insert(source);
+        ev
+    }
+
+    /// Join one channel's shard-accumulated evidence onto this provider.
+    fn join_ips(&mut self, source: Source, ips: HashMap<IpAddr, IpEvidence>) {
+        for (ip, ev) in ips {
+            self.evidence(ip, source).join(ev);
+        }
+    }
+
     /// Discovered IPv4 addresses.
     pub fn v4_ips(&self) -> impl Iterator<Item = IpAddr> + '_ {
         self.ips.keys().copied().filter(|ip| ip.is_ipv4())
@@ -502,13 +493,7 @@ impl DiscoveryPipeline {
     /// matching engine.
     pub fn run(&self, sources: &DataSources<'_>, period: StudyPeriod) -> DiscoveryResult {
         let _span = iotmap_obs::span!("core.discovery");
-        let mut result = self.empty_result();
-        self.harvest_certificates(sources, period, &mut result);
-        self.harvest_v6_scans(sources, period, &mut result);
-        self.harvest_passive_dns(sources, period, &mut result);
-        self.harvest_active_dns(sources, period, &mut result);
-        flush_discovery_totals(&result);
-        result
+        self.harvest(sources, period, &Source::ALL)
     }
 
     /// Run all four instruments with the original per-provider fan-out
@@ -534,34 +519,32 @@ impl DiscoveryPipeline {
         period: StudyPeriod,
         channels: &[Source],
     ) -> DiscoveryResult {
-        let mut result = self.empty_result();
         let _span = iotmap_obs::span!("core.discovery.channels");
-        if channels.contains(&Source::Certificate) {
-            self.harvest_certificates(sources, period, &mut result);
-        }
-        if channels.contains(&Source::Ipv6Scan) {
-            self.harvest_v6_scans(sources, period, &mut result);
-        }
-        if channels.contains(&Source::PassiveDns) {
-            self.harvest_passive_dns(sources, period, &mut result);
-        }
-        if channels.contains(&Source::ActiveDns) {
-            self.harvest_active_dns(sources, period, &mut result);
-        }
-        flush_discovery_totals(&result);
-        result
+        self.harvest(sources, period, channels)
     }
 
-    /// Single-pass certificate harvest: classify every in-period snapshot
-    /// record against all providers at once, then shard the records and
-    /// fan the evidence back in per provider.
-    fn harvest_certificates(
+    /// The harvest sequence behind [`run`](Self::run) and
+    /// [`run_channels`](Self::run_channels): each selected channel in
+    /// report order, then the discovery totals.
+    fn harvest(
         &self,
         sources: &DataSources<'_>,
         period: StudyPeriod,
-        result: &mut DiscoveryResult,
-    ) {
-        self.harvest_certificate_snapshots(sources.censys, period, result);
+        channels: &[Source],
+    ) -> DiscoveryResult {
+        let mut result = self.empty_result();
+        for source in Source::ALL.into_iter().filter(|s| channels.contains(s)) {
+            match source {
+                Source::Certificate => {
+                    self.harvest_certificate_snapshots(sources.censys, period, &mut result)
+                }
+                Source::Ipv6Scan => self.harvest_v6_scans(sources, period, &mut result),
+                Source::PassiveDns => self.harvest_passive_dns(sources, period, &mut result),
+                Source::ActiveDns => self.harvest_active_dns(sources, period, &mut result),
+            }
+        }
+        flush_discovery_totals(&result);
+        result
     }
 
     /// The certificate harvest over an explicit snapshot slice — the
@@ -569,30 +552,71 @@ impl DiscoveryPipeline {
     /// evidence joins make the per-snapshot contributions independent.
     pub(crate) fn harvest_certificate_snapshots(
         &self,
-        snapshots: &[iotmap_scan::CensysSnapshot],
+        snapshots: &[CensysSnapshot],
         period: StudyPeriod,
         result: &mut DiscoveryResult,
     ) {
-        let _span = iotmap_obs::span!("discovery.certificates");
-        let providers = self.registry.providers();
-        let engine = MatchEngine::sans(&self.registry);
-        // One flattened row list over the in-period snapshots, in source
-        // order — the same per-provider event sequence as the fan-out's
-        // snapshot walk.
-        let rows: Vec<(i64, &CensysRecord)> = snapshots
+        // In-period snapshot records in source order — the same
+        // per-provider event sequence as the fan-out's snapshot walk.
+        let rows = snapshots
             .iter()
             .filter(|s| period.contains(s.date.midnight()))
             .flat_map(|s| {
                 let day = s.date.epoch_days();
                 s.records.iter().map(move |r| (day, r))
-            })
-            .collect();
-        let index = iotmap_scan::censys::san_suffix_index(rows.iter().map(|&(_, r)| r), period);
+            });
+        self.harvest_sans(
+            Source::Certificate,
+            rows,
+            |&(day, r)| (day, r.ip, &r.certificate, r.location.as_ref()),
+            period,
+            result,
+        );
+    }
+
+    /// The IPv6 banner-grab harvest: the hitlist campaign runs once, so
+    /// every grab is evidence for the period's first day.
+    fn harvest_v6_scans(
+        &self,
+        sources: &DataSources<'_>,
+        period: StudyPeriod,
+        result: &mut DiscoveryResult,
+    ) {
+        let day = period.start.epoch_days();
+        self.harvest_sans(
+            Source::Ipv6Scan,
+            sources.zgrab_v6.iter(),
+            |&r| (day, IpAddr::V6(r.ip), &r.certificate, None),
+            period,
+            result,
+        );
+    }
+
+    /// Single-pass SAN harvest behind both certificate channels: classify
+    /// every row, read as `(day, ip, certificate, location)` through
+    /// `fields`, against all providers at once, then shard the rows and
+    /// fan the evidence back in per provider. Rows stay references into
+    /// the corpus: a materialised [`SanRow`] is several times their size,
+    /// over hundreds of thousands of IPv4 rows.
+    fn harvest_sans<'a, R: Sync>(
+        &self,
+        source: Source,
+        rows: impl Iterator<Item = R>,
+        fields: impl Fn(&R) -> SanRow<'a> + Sync,
+        period: StudyPeriod,
+        result: &mut DiscoveryResult,
+    ) {
+        let _span = iotmap_obs::span!(format!("discovery.{}", source.metric_key()));
+        let providers = self.registry.providers();
+        let engine = MatchEngine::sans(&self.registry);
+        let rows: Vec<R> = rows.collect();
+        let cert_of = |row: usize| fields(&rows[row]).2;
+        let index = iotmap_scan::san_suffix_index((0..rows.len()).map(|i| &**cert_of(i)), period);
         // Records share certificates heavily (one gateway cert behind
         // thousands of IPs, and scaled corpora replicate rows): verify and
         // harvest each distinct cert once, then replay per record.
-        let certs = crate::certid::CertSet::dedupe(rows.iter().map(|&(_, r)| &r.certificate));
-        let mut verify_memo = crate::certid::CertVerifyMemo::new(certs.unique(), providers.len());
+        let certs = CertSet::dedupe((0..rows.len()).map(cert_of));
+        let mut verify_memo = CertVerifyMemo::new(certs.unique(), providers.len());
         let table = {
             let mut buf = String::new();
             engine.classify(
@@ -601,25 +625,23 @@ impl DiscoveryPipeline {
                 |p, row| {
                     verify_memo.check(p, certs.cert_of_row(row as usize), || {
                         let re = &providers[p].san_regex;
-                        rows[row as usize]
-                            .1
-                            .certificate
+                        cert_of(row as usize)
                             .sans
                             .iter()
                             .any(|san| re.is_match(san.presentation_into(&mut buf)))
                     })
                 },
                 |row, emit| {
-                    let (_, record) = rows[row as usize];
-                    if record.certificate.valid_during(&period) {
+                    let certificate = cert_of(row as usize);
+                    if certificate.valid_during(&period) {
                         let mut name_buf = String::new();
-                        record.certificate.for_each_name(&mut name_buf, emit);
+                        certificate.for_each_name(&mut name_buf, emit);
                     }
                 },
             )
         };
         let matches = table.matched_per_provider();
-        let memos = crate::certid::evidence_memos(&certs, &table, providers);
+        let memos = evidence_memos(&certs, &table, providers);
         let partials = iotmap_par::shard_fold(
             &rows,
             |_ctx| {
@@ -628,19 +650,20 @@ impl DiscoveryPipeline {
                     .map(|_| HashMap::new())
                     .collect::<IpPartials>()
             },
-            |acc, i, &(day, record)| {
+            |acc, i, row| {
                 if !table.any(i) {
                     return;
                 }
+                let (day, ip, _, location) = fields(row);
                 let cert = certs.cert_of_row(i);
                 for p in table.providers(i) {
-                    let pe = acc[p].entry(record.ip).or_default();
-                    pe.days.insert(day);
-                    pe.note_location(record.location.clone());
+                    let ev = acc[p].entry(ip).or_default();
+                    ev.days.insert(day);
+                    ev.note_location(location.cloned());
                     if let Some(memo) = memos.get(&(p, cert)) {
-                        pe.note_hint(memo.hint.clone());
+                        ev.note_hint(memo.hint.clone());
                         for name in &memo.names {
-                            pe.note_name(name);
+                            ev.note_name(name);
                         }
                     }
                 }
@@ -651,83 +674,8 @@ impl DiscoveryPipeline {
                 }
             },
         );
-        apply_ip_partials(result, Source::Certificate, partials);
-        flush_provider_matches(Source::Certificate, result, &matches);
-    }
-
-    /// Single-pass IPv6 banner-grab harvest.
-    fn harvest_v6_scans(
-        &self,
-        sources: &DataSources<'_>,
-        period: StudyPeriod,
-        result: &mut DiscoveryResult,
-    ) {
-        let _span = iotmap_obs::span!("discovery.ipv6_scan");
-        let first_day = period.start.epoch_days();
-        let providers = self.registry.providers();
-        let engine = MatchEngine::sans(&self.registry);
-        let records = sources.zgrab_v6;
-        let index = iotmap_scan::zgrab::san_suffix_index(records, period);
-        let certs = crate::certid::CertSet::dedupe(records.iter().map(|r| &r.certificate));
-        let mut verify_memo = crate::certid::CertVerifyMemo::new(certs.unique(), providers.len());
-        let table = {
-            let mut buf = String::new();
-            engine.classify(
-                &index,
-                records.len(),
-                |p, row| {
-                    verify_memo.check(p, certs.cert_of_row(row as usize), || {
-                        let re = &providers[p].san_regex;
-                        records[row as usize]
-                            .certificate
-                            .sans
-                            .iter()
-                            .any(|san| re.is_match(san.presentation_into(&mut buf)))
-                    })
-                },
-                |row, emit| {
-                    let record = &records[row as usize];
-                    if record.certificate.valid_during(&period) {
-                        let mut name_buf = String::new();
-                        record.certificate.for_each_name(&mut name_buf, emit);
-                    }
-                },
-            )
-        };
-        let matches = table.matched_per_provider();
-        let memos = crate::certid::evidence_memos(&certs, &table, providers);
-        let partials = iotmap_par::shard_fold(
-            records,
-            |_ctx| {
-                providers
-                    .iter()
-                    .map(|_| HashMap::new())
-                    .collect::<IpPartials>()
-            },
-            |acc, i, record| {
-                if !table.any(i) {
-                    return;
-                }
-                let cert = certs.cert_of_row(i);
-                for p in table.providers(i) {
-                    let pe = acc[p].entry(IpAddr::V6(record.ip)).or_default();
-                    pe.days.insert(first_day);
-                    if let Some(memo) = memos.get(&(p, cert)) {
-                        pe.note_hint(memo.hint.clone());
-                        for name in &memo.names {
-                            pe.note_name(name);
-                        }
-                    }
-                }
-            },
-            |a, b| {
-                for (pa, pb) in a.iter_mut().zip(b) {
-                    merge_ip_partials(pa, pb);
-                }
-            },
-        );
-        apply_ip_partials(result, Source::Ipv6Scan, partials);
-        flush_provider_matches(Source::Ipv6Scan, result, &matches);
+        apply_ip_partials(result, source, partials);
+        flush_provider_matches(source, result, &matches);
     }
 
     /// Single-pass passive-DNS harvest: one classification of the rrset
@@ -743,28 +691,7 @@ impl DiscoveryPipeline {
         let pdns = sources.passive_dns;
         let entries = pdns.entries_slice();
         let providers = self.registry.providers();
-        let engine = MatchEngine::owners(&self.registry);
-        let table = {
-            let mut buf = String::new();
-            engine.classify(
-                pdns.owner_suffix_index(),
-                entries.len(),
-                |p, row| {
-                    let entry = &entries[row as usize];
-                    entry.observed_in(&period)
-                        && providers[p]
-                            .owner_regex
-                            .is_match(entry.owner.fqdn_into(&mut buf))
-                },
-                |row, emit| {
-                    let entry = &entries[row as usize];
-                    if entry.observed_in(&period) {
-                        let mut fqdn = String::new();
-                        emit(entry.owner.fqdn_into(&mut fqdn));
-                    }
-                },
-            )
-        };
+        let table = self.classify_rrsets(pdns, period);
         iotmap_obs::count!("discovery.pdns.rrsets_scanned", entries.len() as u64);
         let matches = table.matched_per_provider();
         let partials = iotmap_par::shard_fold(
@@ -788,20 +715,11 @@ impl DiscoveryPipeline {
                         }
                         rdata => {
                             if let Some(ip) = rdata.ip() {
-                                let pe = partial.ips.entry(ip).or_default();
-                                let first =
-                                    entry.time_first.epoch_days().max(period.start.epoch_days());
-                                let last = entry
-                                    .time_last
-                                    .epoch_days()
-                                    .min(period.end.epoch_days() - 1);
-                                for d in first..=last {
-                                    pe.days.insert(d);
-                                }
-                                pe.note_hint(
-                                    providers[p].region_hint.extract(entry.owner.as_str()),
+                                partial.ips.entry(ip).or_default().note_rrset(
+                                    &providers[p],
+                                    &entry.owner,
+                                    entry.days_in(&period),
                                 );
-                                pe.note_name(entry.owner.as_str());
                             }
                         }
                     }
@@ -821,28 +739,51 @@ impl DiscoveryPipeline {
             let patterns = &providers[pi];
             let partial = std::mem::take(partial);
             prov.domains.extend(partial.domains);
-            for (ip, pe) in partial.ips {
-                pe.apply(Source::PassiveDns, prov.ips.entry(ip).or_default());
-            }
+            prov.join_ips(Source::PassiveDns, partial.ips);
             for (owner, target) in partial.cnames {
                 for entry in pdns.entries_for_owner(&target, period) {
                     if let Some(ip) = entry.rdata.ip() {
-                        Self::note_pdns_ip(
-                            prov,
+                        prov.evidence(ip, Source::PassiveDns).note_rrset(
                             patterns,
-                            ip,
                             &owner,
-                            entry.time_first.epoch_days().max(period.start.epoch_days()),
-                            entry
-                                .time_last
-                                .epoch_days()
-                                .min(period.end.epoch_days() - 1),
+                            entry.days_in(&period),
                         );
                     }
                 }
             }
         });
         flush_provider_matches(Source::PassiveDns, result, &matches);
+    }
+
+    /// Classify the passive-DNS rrset table against every provider's
+    /// owner pattern at once, via the database's owner suffix index: row
+    /// `r` matches provider `p` iff it is observed in `period` and its
+    /// owner matches. The harvest and
+    /// [`IncrementalDiscovery::bootstrap`](crate::IncrementalDiscovery::bootstrap)
+    /// both read this one table, so the rows an incremental run tracks are
+    /// exactly those whose evidence the harvest applied.
+    pub(crate) fn classify_rrsets(&self, pdns: &PassiveDnsDb, period: StudyPeriod) -> MatchTable {
+        let entries = pdns.entries_slice();
+        let providers = self.registry.providers();
+        let mut buf = String::new();
+        MatchEngine::owners(&self.registry).classify(
+            pdns.owner_suffix_index(),
+            entries.len(),
+            |p, row| {
+                let entry = &entries[row as usize];
+                entry.observed_in(&period)
+                    && providers[p]
+                        .owner_regex
+                        .is_match(entry.owner.fqdn_into(&mut buf))
+            },
+            |row, emit| {
+                let entry = &entries[row as usize];
+                if entry.observed_in(&period) {
+                    let mut fqdn = String::new();
+                    emit(entry.owner.fqdn_into(&mut fqdn));
+                }
+            },
+        )
     }
 
     /// Single-pass active-DNS seeding: the in-period owner corpus is
@@ -1052,9 +993,10 @@ impl DiscoveryPipeline {
     }
 
     /// Join a resolution campaign's observations into one provider's
-    /// discovery — shared by the single-pass and fan-out active-DNS
-    /// harvests. Returns the observation count for the match counters.
-    fn apply_campaign_observations(
+    /// discovery — shared by the single-pass, incremental and fan-out
+    /// active-DNS harvests. Returns the observation count for the match
+    /// counters.
+    pub(crate) fn apply_campaign_observations(
         prov: &mut ProviderDiscovery,
         patterns: &crate::patterns::ProviderPatterns,
         campaign_result: &iotmap_dns::CampaignResult,
@@ -1071,7 +1013,7 @@ impl DiscoveryPipeline {
         matched
     }
 
-    pub(crate) fn note_pdns_ip(
+    fn note_pdns_ip(
         provider: &mut ProviderDiscovery,
         patterns: &crate::patterns::ProviderPatterns,
         ip: IpAddr,
@@ -1172,6 +1114,7 @@ pub(crate) fn flush_discovery_totals(result: &DiscoveryResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotmap_nettypes::{Continent, SimRng};
 
     #[test]
     fn source_set_operations() {
@@ -1196,6 +1139,123 @@ mod tests {
             ev.note_name(&format!("n{i}.example.com"));
         }
         assert_eq!(ev.matched_names.len(), MAX_MATCHED_NAMES);
+    }
+
+    /// One fact an instrument can note about an IP.
+    #[derive(Debug, Clone)]
+    enum Fact {
+        Source(Source),
+        Day(i64),
+        Hint(Option<String>),
+        Location(Option<Location>),
+        Name(String),
+    }
+
+    fn random_facts(rng: &mut SimRng) -> Vec<Fact> {
+        let n = rng.gen_below(60) as usize;
+        (0..n)
+            .map(|_| match rng.gen_below(6) {
+                0 => Fact::Source(*rng.choose(&Source::ALL)),
+                1 => Fact::Day(rng.gen_range_i64(19_000, 19_010)),
+                2 => Fact::Hint(
+                    rng.chance(0.5)
+                        .then(|| format!("region-{}", rng.gen_below(4))),
+                ),
+                3 => Fact::Location(rng.chance(0.7).then(|| {
+                    // Few cities, several latitudes each: ties on city
+                    // must be broken by the coordinates.
+                    let city = *rng.choose(&["Frankfurt", "Dublin"]);
+                    let lat = 50.0 + rng.gen_below(3) as f64 * 0.25;
+                    Location::new(city, "DE", Continent::Europe, lat, 8.7)
+                })),
+                _ => Fact::Name(format!("n{:02}.example.com", rng.gen_below(40))),
+            })
+            .collect()
+    }
+
+    fn note_all(facts: &[Fact]) -> IpEvidence {
+        let mut ev = IpEvidence::default();
+        for fact in facts.iter().cloned() {
+            match fact {
+                Fact::Source(s) => ev.sources.insert(s),
+                Fact::Day(d) => {
+                    ev.days.insert(d);
+                }
+                Fact::Hint(h) => ev.note_hint(h),
+                Fact::Location(l) => ev.note_location(l),
+                Fact::Name(n) => ev.note_name(&n),
+            }
+        }
+        ev
+    }
+
+    fn joined(mut a: IpEvidence, b: IpEvidence) -> IpEvidence {
+        a.join(b);
+        a
+    }
+
+    type View = (
+        SourceSet,
+        BTreeSet<i64>,
+        Option<String>,
+        Option<Location>,
+        BTreeSet<String>,
+    );
+
+    fn view(ev: &IpEvidence) -> View {
+        (
+            ev.sources,
+            ev.days.clone(),
+            ev.domain_hint.clone(),
+            ev.censys_location.clone(),
+            ev.matched_names.clone(),
+        )
+    }
+
+    #[test]
+    fn evidence_join_is_a_lattice_join() {
+        let mut rng = SimRng::new(20);
+        let (mut saw_cap, mut saw_city_tie) = (false, false);
+        for _ in 0..400 {
+            let (fa, fb, fc) = (
+                random_facts(&mut rng),
+                random_facts(&mut rng),
+                random_facts(&mut rng),
+            );
+            let (a, b, c) = (note_all(&fa), note_all(&fb), note_all(&fc));
+            let ab = joined(a.clone(), b.clone());
+            assert_eq!(
+                view(&ab),
+                view(&joined(b.clone(), a.clone())),
+                "commutative"
+            );
+            assert_eq!(
+                view(&joined(ab.clone(), c.clone())),
+                view(&joined(a.clone(), joined(b.clone(), c))),
+                "associative"
+            );
+            assert_eq!(view(&joined(a.clone(), a.clone())), view(&a), "idempotent");
+            let both: Vec<Fact> = fa.iter().chain(&fb).cloned().collect();
+            assert_eq!(
+                view(&ab),
+                view(&note_all(&both)),
+                "join = noting one by one"
+            );
+
+            let distinct: BTreeSet<&String> = both
+                .iter()
+                .filter_map(|f| match f {
+                    Fact::Name(n) => Some(n),
+                    _ => None,
+                })
+                .collect();
+            saw_cap |= distinct.len() > MAX_MATCHED_NAMES;
+            if let (Some(la), Some(lb)) = (&a.censys_location, &b.censys_location) {
+                saw_city_tie |= la.city == lb.city && la.lat != lb.lat;
+            }
+        }
+        assert!(saw_cap, "inputs exceed the name cap");
+        assert!(saw_city_tie, "inputs tie on city but differ in lat");
     }
 
     #[test]

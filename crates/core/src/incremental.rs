@@ -28,10 +28,8 @@
 use crate::discovery::{
     flush_discovery_totals, flush_provider_matches, DiscoveryPipeline, DiscoveryResult, Source,
 };
-use crate::matcher::MatchEngine;
-use crate::patterns::ProviderPatterns;
 use crate::sources::DataSources;
-use iotmap_dns::{CampaignResult, PassiveDnsDb, RData};
+use iotmap_dns::{PassiveDnsDb, RData, RrsetEntry};
 use iotmap_nettypes::{DomainName, StudyPeriod};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
@@ -61,31 +59,10 @@ impl IncrementalDiscovery {
         let _span = iotmap_obs::span!("core.incremental.bootstrap");
         let providers = pipeline.registry().providers();
         let entries = pdns.entries_slice();
-        let engine = MatchEngine::owners(pipeline.registry());
         // The same classification the single-pass harvest ran, so the
         // captured rows are exactly the ones whose evidence is already in
         // the artifacts.
-        let table = {
-            let mut buf = String::new();
-            engine.classify(
-                pdns.owner_suffix_index(),
-                entries.len(),
-                |p, row| {
-                    let entry = &entries[row as usize];
-                    entry.observed_in(&period)
-                        && providers[p]
-                            .owner_regex
-                            .is_match(entry.owner.fqdn_into(&mut buf))
-                },
-                |row, emit| {
-                    let entry = &entries[row as usize];
-                    if entry.observed_in(&period) {
-                        let mut fqdn = String::new();
-                        emit(entry.owner.fqdn_into(&mut fqdn));
-                    }
-                },
-            )
-        };
+        let table = pipeline.classify_rrsets(pdns, period);
         let mut pdns_matched = vec![Vec::new(); providers.len()];
         for row in 0..entries.len() {
             if !table.any(row) {
@@ -187,13 +164,12 @@ impl IncrementalDiscovery {
         let zones = sources.zones;
         let matched_rows = &self.pdns_matched;
         // A matched row's passive-DNS contribution is fully determined by
-        // its day clamp `[max(tf, start), min(tl, end-1)]`. The start never
-        // moves, so re-application is a no-op join — skippable — unless the
-        // row is newly visible or the end clamp actually widened its days.
-        let old_end_day = old_period.end.epoch_days() - 1;
-        let new_end_day = new_period.end.epoch_days() - 1;
-        let unchanged = |time_first: iotmap_nettypes::SimTime, last_days: i64| {
-            time_first < old_period.end && last_days.min(old_end_day) == last_days.min(new_end_day)
+        // its day clamp (`RrsetEntry::days_in`). The start never moves, so
+        // re-application is a no-op join — skippable — unless the row is
+        // newly visible or the widened end actually widened its days.
+        let unchanged = |entry: &RrsetEntry| {
+            entry.time_first < old_period.end
+                && entry.days_in(&old_period) == entry.days_in(&new_period)
         };
         let adns_counts = iotmap_par::shard_map_mut(&mut result.providers, |pi, prov| {
             let patterns = &providers[pi];
@@ -212,42 +188,28 @@ impl IncrementalDiscovery {
                         // just the changed ones.
                         let row_fresh = entry.time_first >= old_period.end;
                         for chased in pdns.entries_for_owner(target, new_period) {
-                            if !row_fresh
-                                && unchanged(chased.time_first, chased.time_last.epoch_days())
-                            {
+                            if !row_fresh && unchanged(chased) {
                                 continue;
                             }
                             if let Some(ip) = chased.rdata.ip() {
-                                DiscoveryPipeline::note_pdns_ip(
-                                    prov,
+                                prov.evidence(ip, Source::PassiveDns).note_rrset(
                                     patterns,
-                                    ip,
                                     &entry.owner,
-                                    chased
-                                        .time_first
-                                        .epoch_days()
-                                        .max(new_period.start.epoch_days()),
-                                    chased.time_last.epoch_days().min(new_end_day),
+                                    chased.days_in(&new_period),
                                 );
                             }
                         }
                     }
                     rdata => {
-                        if unchanged(entry.time_first, entry.time_last.epoch_days()) {
+                        if unchanged(entry) {
                             continue;
                         }
                         prov.domains.insert(entry.owner.clone());
                         if let Some(ip) = rdata.ip() {
-                            DiscoveryPipeline::note_pdns_ip(
-                                prov,
+                            prov.evidence(ip, Source::PassiveDns).note_rrset(
                                 patterns,
-                                ip,
                                 &entry.owner,
-                                entry
-                                    .time_first
-                                    .epoch_days()
-                                    .max(new_period.start.epoch_days()),
-                                entry.time_last.epoch_days().min(new_end_day),
+                                entry.days_in(&new_period),
                             );
                         }
                     }
@@ -264,7 +226,8 @@ impl IncrementalDiscovery {
                 let domains: Vec<DomainName> = old_seeds[pi].iter().cloned().collect();
                 let delta_period = StudyPeriod::new(old_period.end, new_period.end);
                 let campaign = pipeline.run_campaign(zones, &domains, &delta_period);
-                matched += apply_observations(prov, patterns, &campaign);
+                matched +=
+                    DiscoveryPipeline::apply_campaign_observations(prov, patterns, &campaign);
             }
             let fresh_owners: BTreeSet<DomainName> = fresh_matched[pi]
                 .iter()
@@ -274,7 +237,8 @@ impl IncrementalDiscovery {
             if !fresh_owners.is_empty() {
                 let domains: Vec<DomainName> = fresh_owners.into_iter().collect();
                 let campaign = pipeline.run_campaign(zones, &domains, &new_period);
-                matched += apply_observations(prov, patterns, &campaign);
+                matched +=
+                    DiscoveryPipeline::apply_campaign_observations(prov, patterns, &campaign);
             }
             matched
         });
@@ -284,21 +248,4 @@ impl IncrementalDiscovery {
         self.period = new_period;
         fresh_ips
     }
-}
-
-fn apply_observations(
-    prov: &mut crate::discovery::ProviderDiscovery,
-    patterns: &ProviderPatterns,
-    campaign: &CampaignResult,
-) -> u64 {
-    let mut matched = 0u64;
-    for obs in &campaign.observations {
-        matched += 1;
-        let entry = prov.ips.entry(obs.ip).or_default();
-        entry.sources.insert(Source::ActiveDns);
-        entry.days.insert(obs.day);
-        entry.note_hint(patterns.region_hint.extract(obs.domain.as_str()));
-        entry.note_name(obs.domain.as_str());
-    }
-    matched
 }

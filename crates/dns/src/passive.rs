@@ -20,6 +20,7 @@ use iotmap_nettypes::{DomainName, SimDuration, SimTime, StudyPeriod, SuffixIndex
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::ops::RangeInclusive;
 
 /// One aggregated RRset observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +37,16 @@ impl RrsetEntry {
     /// DNSDB's `time_first_before` / `time_last_after` filters)?
     pub fn observed_in(&self, window: &StudyPeriod) -> bool {
         self.time_first < window.end && self.time_last >= window.start
+    }
+
+    /// The epoch days this entry spans, clipped to `period`: from the
+    /// later of first-seen and period start to the earlier of last-seen
+    /// and the period's last day. Empty when the entry is not
+    /// [`observed_in`](Self::observed_in) the period.
+    pub fn days_in(&self, period: &StudyPeriod) -> RangeInclusive<i64> {
+        let first = self.time_first.epoch_days().max(period.start.epoch_days());
+        let last = self.time_last.epoch_days().min(period.end.epoch_days() - 1);
+        first..=last
     }
 }
 
@@ -328,6 +339,43 @@ mod tests {
 
     fn week() -> StudyPeriod {
         StudyPeriod::from_dates(Date::new(2022, 3, 1), Date::new(2022, 3, 8))
+    }
+
+    #[test]
+    fn days_in_clips_rows_to_the_period() {
+        let mut db = PassiveDnsDb::new();
+        // Starts before the period, ends inside it.
+        db.observe(d("early.iot.sap"), a(1), Date::new(2022, 2, 25).midnight());
+        db.observe(d("early.iot.sap"), a(1), t(3));
+        // Starts inside the period, ends after it.
+        db.observe(d("late.iot.sap"), a(2), t(6));
+        db.observe(d("late.iot.sap"), a(2), Date::new(2022, 3, 20).midnight());
+        // Seen twice on one day.
+        db.observe(d("once.iot.sap"), a(3), t(4));
+        db.observe(
+            d("once.iot.sap"),
+            a(3),
+            t(4) + SimDuration::seconds(5 * 3600),
+        );
+        // Spans the whole period and more.
+        db.observe(d("wide.iot.sap"), a(4), Date::new(2022, 2, 1).midnight());
+        db.observe(d("wide.iot.sap"), a(4), Date::new(2022, 4, 1).midnight());
+        let day = |date: u32| t(date).epoch_days();
+        let spans: Vec<_> = db.entries().map(|e| e.days_in(&week())).collect();
+        assert_eq!(
+            spans,
+            vec![
+                day(1)..=day(3),
+                day(6)..=day(7),
+                day(4)..=day(4),
+                day(1)..=day(7)
+            ]
+        );
+        // A row outside the period clips to an empty range.
+        let before = StudyPeriod::from_dates(Date::new(2022, 1, 1), Date::new(2022, 1, 8));
+        let e = db.entries().next().unwrap();
+        assert!(!e.observed_in(&before));
+        assert!(e.days_in(&before).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::target::ScanView;
 use iotmap_dregex::query::CensysNameQuery;
 use iotmap_dregex::Regex;
 use iotmap_faults::CensysFaults;
-use iotmap_nettypes::{Date, Location, PortProto, SimDuration, StudyPeriod, SuffixIndex};
+use iotmap_nettypes::{Date, Location, PortProto, SimDuration, StudyPeriod};
 use iotmap_tls::{handshake, Certificate, ClientHello};
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -70,31 +70,6 @@ impl CensysSnapshot {
     pub fn records_for_ip(&self, ip: IpAddr) -> impl Iterator<Item = &CensysRecord> {
         self.records.iter().filter(move |r| r.ip == ip)
     }
-}
-
-/// Build a reversed-label [`SuffixIndex`] over certificate names: one
-/// posting per `(record, SAN)` keyed by the record's position in the
-/// iteration order. Records whose certificate is not valid throughout
-/// `validity_window` are skipped entirely, so every posting already
-/// satisfies the §3.3 validity rule and index hits only need per-pattern
-/// verification. This is the prefilter behind the single-pass matcher: the
-/// provider patterns' literal suffixes become index lookups instead of
-/// per-provider scans over every record.
-pub fn san_suffix_index<'a>(
-    records: impl IntoIterator<Item = &'a CensysRecord>,
-    validity_window: StudyPeriod,
-) -> SuffixIndex {
-    let mut index = SuffixIndex::new();
-    let mut buf = String::new();
-    for (row, record) in records.into_iter().enumerate() {
-        if !record.certificate.valid_during(&validity_window) {
-            continue;
-        }
-        record
-            .certificate
-            .for_each_name(&mut buf, |name| index.insert(name, row as u32));
-    }
-    index
 }
 
 /// The scanning service itself.
@@ -360,7 +335,8 @@ mod tests {
         let snap = CensysService::new().daily_sweep(&net, Date::new(2022, 2, 28));
         assert_eq!(snap.records.len(), 2);
 
-        let index = san_suffix_index(&snap.records, study_week());
+        let index =
+            crate::san_suffix_index(snap.records.iter().map(|r| &*r.certificate), study_week());
         let q = iotmap_nettypes::SuffixQuery::parse(".azure-devices.net").unwrap();
         let azure_row = snap
             .records

@@ -33,3 +33,28 @@ pub use hitlist::Ipv6Hitlist;
 pub use lookingglass::{estimate_location, LatencyProber, LookingGlassSite};
 pub use target::ScanView;
 pub use zgrab::{Zgrab2Scanner, ZgrabRecord};
+
+use iotmap_nettypes::{StudyPeriod, SuffixIndex};
+use iotmap_tls::Certificate;
+
+/// Build a reversed-label [`SuffixIndex`] over certificate names: one
+/// posting per `(row, SAN)` keyed by the certificate's position in the
+/// iteration order. Certificates not valid throughout `validity_window`
+/// are skipped entirely, so every posting already satisfies the §3.3
+/// validity rule and index hits only need per-pattern verification. This
+/// is the prefilter behind the single-pass matcher over both Censys
+/// snapshots and ZGrab grabs: the provider patterns' literal suffixes
+/// become index lookups instead of per-provider scans over every record.
+pub fn san_suffix_index<'a>(
+    certificates: impl IntoIterator<Item = &'a Certificate>,
+    validity_window: StudyPeriod,
+) -> SuffixIndex {
+    let mut index = SuffixIndex::new();
+    let mut buf = String::new();
+    for (row, certificate) in certificates.into_iter().enumerate() {
+        if certificate.valid_during(&validity_window) {
+            certificate.for_each_name(&mut buf, |name| index.insert(name, row as u32));
+        }
+    }
+    index
+}

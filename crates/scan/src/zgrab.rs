@@ -9,7 +9,7 @@ use crate::hitlist::Ipv6Hitlist;
 use crate::target::ScanView;
 use iotmap_dregex::Regex;
 use iotmap_faults::ZgrabFaults;
-use iotmap_nettypes::{PortProto, SimDuration, SimRng, SimTime, StudyPeriod, SuffixIndex};
+use iotmap_nettypes::{PortProto, SimDuration, SimRng, SimTime, StudyPeriod};
 use iotmap_tls::{handshake, Certificate, ClientHello};
 use std::net::{IpAddr, Ipv6Addr};
 use std::sync::Arc;
@@ -167,25 +167,6 @@ pub fn filter_records<'a>(
     })
 }
 
-/// Build a reversed-label [`SuffixIndex`] over grabbed certificate names:
-/// one posting per `(record, SAN)` keyed by the record's slice position.
-/// Records failing the validity window are skipped, mirroring
-/// [`filter_records`]'s first clause, so the single-pass matcher only has
-/// to verify the pattern clause on index hits.
-pub fn san_suffix_index(records: &[ZgrabRecord], validity_window: StudyPeriod) -> SuffixIndex {
-    let mut index = SuffixIndex::new();
-    let mut buf = String::new();
-    for (row, record) in records.iter().enumerate() {
-        if !record.certificate.valid_during(&validity_window) {
-            continue;
-        }
-        record
-            .certificate
-            .for_each_name(&mut buf, |name| index.insert(name, row as u32));
-    }
-    index
-}
-
 /// The simulated duration of a scan honouring single-probe pacing: one
 /// probe per destination, spread over the day.
 pub fn scan_duration(targets: usize) -> SimDuration {
@@ -311,7 +292,10 @@ mod tests {
         let mut rng = SimRng::new(7);
         let records = scanner.scan(&net, &hitlist, when(), &mut rng);
 
-        let index = san_suffix_index(&records, StudyPeriod::main_week());
+        let index = crate::san_suffix_index(
+            records.iter().map(|r| &*r.certificate),
+            StudyPeriod::main_week(),
+        );
         let q = iotmap_nettypes::SuffixQuery::parse("tencentdevices.com").unwrap();
         let re = Regex::new(r"tencentdevices\.com$").unwrap();
         let via_filter: Vec<usize> = records
