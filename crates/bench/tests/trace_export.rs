@@ -31,7 +31,7 @@ fn find_span<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
 
 #[test]
 fn prepare_span_tree_matches_golden_shape() {
-    let (_exp, report) = traced_prepare(&WorldConfig::small(42));
+    let (exp, report) = traced_prepare(&WorldConfig::small(42));
     let prepare = find_span(&report.spans, "experiment.prepare").expect("prepare span");
     let execute = find_span(&report.spans, "experiment.execute").expect("execute span");
 
@@ -73,6 +73,32 @@ fn prepare_span_tree_matches_golden_shape() {
             "world.events",
         ]
     );
+
+    // Passive-DNS synthesis: its three passes, each with its item count,
+    // and the table's counts on the phase span.
+    let pdns = find_span(&world.children, "world.passive_dns").expect("passive_dns span");
+    let passes: Vec<&str> = pdns.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        passes,
+        [
+            "world.passive_dns.resolve",
+            "world.passive_dns.merge",
+            "world.passive_dns.index",
+        ]
+    );
+    let db = &exp.world.passive_dns;
+    let entries = db.len() as u64;
+    let observations: u64 = db.entries().map(|e| e.count).sum();
+    assert_eq!(pdns.meta_value("entries"), Some(entries));
+    assert_eq!(pdns.meta_value("observations"), Some(observations));
+    let domains = pdns.meta_value("domains").expect("domains");
+    let resolutions = pdns.meta_value("resolutions").expect("resolutions");
+    assert!(0 < domains && domains < resolutions && resolutions < observations);
+    let (resolve, merge, index) = (&pdns.children[0], &pdns.children[1], &pdns.children[2]);
+    assert_eq!(resolve.meta_value("domains"), Some(domains));
+    assert_eq!(resolve.meta_value("resolutions"), Some(resolutions));
+    assert!(merge.meta_value("rows").is_some_and(|rows| rows >= entries));
+    assert_eq!(index.meta_value("entries"), Some(entries));
 
     // Scan synthesis carries its two named campaigns.
     let collect = find_span(&prepare.children, "world.collect_scan_data").expect("collect span");
@@ -143,4 +169,20 @@ fn tracing_does_not_change_outputs() {
     let parallel_traced =
         iotmap_par::with_threads(4, || traced_prepare(&config).0.artifacts.canonical_dump());
     assert_eq!(untraced, parallel_traced);
+}
+
+#[test]
+fn regex_vm_counter_totals_are_pinned() {
+    // Batching the `dregex.vm.*` counters per pass changes how often
+    // they are recorded, never what they add up to — serial or sharded.
+    for threads in [1, 4] {
+        let (_exp, report) =
+            iotmap_par::with_threads(threads, || traced_prepare(&WorldConfig::small(42)));
+        let counter = |name: &str| report.counters.get(name).copied();
+        assert_eq!(
+            (counter("dregex.vm.execs"), counter("dregex.vm.steps")),
+            (Some(35_054), Some(8_684_359)),
+            "threads {threads}"
+        );
+    }
 }

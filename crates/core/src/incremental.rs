@@ -108,6 +108,7 @@ impl IncrementalDiscovery {
         fresh_snapshots: usize,
     ) -> Vec<IpAddr> {
         let _span = iotmap_obs::span!("core.incremental.advance");
+        let _vm_metrics = iotmap_dregex::vm::MetricsBatch::open();
         let old_period = self.period;
         debug_assert_eq!(old_period.start, new_period.start);
         debug_assert!(new_period.end > old_period.end);

@@ -140,6 +140,7 @@ impl MatchEngine {
         mut verify: impl FnMut(usize, u32) -> bool,
         mut for_each_name: impl FnMut(u32, &mut dyn FnMut(&str)),
     ) -> MatchTable {
+        let _vm_metrics = iotmap_dregex::vm::MetricsBatch::open();
         let mut table = MatchTable::new(rows, self.plans.len());
         let mut candidates = 0u64;
         let mut verified = 0u64;

@@ -97,6 +97,7 @@ impl<'a> SharedIpClassifier<'a> {
         pdns: &PassiveDnsDb,
         period: StudyPeriod,
     ) -> (HashSet<IpAddr>, HashMap<IpAddr, u32>) {
+        let _vm_metrics = iotmap_dregex::vm::MetricsBatch::open();
         let mut dedicated = HashSet::new();
         let mut shared = HashMap::new();
         for &ip in discovery.ips.keys() {
@@ -243,18 +244,19 @@ mod tests {
     #[test]
     fn dedicated_ip_with_only_iot_domains() {
         let registry = PatternRegistry::paper_defaults();
-        let mut pdns = PassiveDnsDb::new();
+        let mut obs = Vec::new();
         let ip: IpAddr = "192.0.2.1".parse().unwrap();
-        pdns.observe(
+        obs.push((
             d("hub-1.azure-devices.net"),
             RData::A("192.0.2.1".parse().unwrap()),
             t(),
-        );
-        pdns.observe(
+        ));
+        obs.push((
             d("hub-2.azure-devices.net"),
             RData::A("192.0.2.1".parse().unwrap()),
             t(),
-        );
+        ));
+        let pdns = PassiveDnsDb::from_observations(&obs);
         let c = SharedIpClassifier::new(&registry);
         assert_eq!(c.classify(ip, &pdns, week()), SharedVerdict::Dedicated);
     }
@@ -262,20 +264,21 @@ mod tests {
     #[test]
     fn shared_ip_with_many_web_domains() {
         let registry = PatternRegistry::paper_defaults();
-        let mut pdns = PassiveDnsDb::new();
+        let mut obs = Vec::new();
         let ip: IpAddr = "192.0.2.2".parse().unwrap();
-        pdns.observe(
+        obs.push((
             d("mqtt.googleapis.com"),
             RData::A("192.0.2.2".parse().unwrap()),
             t(),
-        );
+        ));
         for i in 0..6 {
-            pdns.observe(
+            obs.push((
                 d(&format!("svc{i}.google-web.example")),
                 RData::A("192.0.2.2".parse().unwrap()),
                 t(),
-            );
+            ));
         }
+        let pdns = PassiveDnsDb::from_observations(&obs);
         let c = SharedIpClassifier::new(&registry);
         assert!(c.classify(ip, &pdns, week()).is_shared());
     }
@@ -283,20 +286,21 @@ mod tests {
     #[test]
     fn threshold_tolerates_stray_records() {
         let registry = PatternRegistry::paper_defaults();
-        let mut pdns = PassiveDnsDb::new();
+        let mut obs = Vec::new();
         let ip: IpAddr = "192.0.2.3".parse().unwrap();
-        pdns.observe(
+        obs.push((
             d("hub-9.iot.sap"),
             RData::A("192.0.2.3".parse().unwrap()),
             t(),
-        );
+        ));
         for i in 0..3 {
-            pdns.observe(
+            obs.push((
                 d(&format!("stray{i}.example.org")),
                 RData::A("192.0.2.3".parse().unwrap()),
                 t(),
-            );
+            ));
         }
+        let pdns = PassiveDnsDb::from_observations(&obs);
         let c = SharedIpClassifier::new(&registry);
         assert_eq!(c.classify(ip, &pdns, week()), SharedVerdict::Dedicated);
     }
@@ -315,10 +319,10 @@ mod tests {
     #[test]
     fn owner_memo_matches_fresh_per_ip_verdicts() {
         let registry = PatternRegistry::paper_defaults();
-        let mut pdns = PassiveDnsDb::new();
+        let mut obs = Vec::new();
         let out_of_window = Date::new(2021, 6, 1).midnight();
         let mut point = |owner: &str, ip: &str, at| {
-            pdns.observe(d(owner), RData::A(ip.parse().unwrap()), at);
+            obs.push((d(owner), RData::A(ip.parse().unwrap()), at));
         };
         let web = ["web0.example.org", "web1.example.org", "web2.example.org"];
         // .10: IoT + 4 shared web owners + one owner only it sees in-window.
@@ -342,6 +346,7 @@ mod tests {
         }
         point("web3.example.org", "192.0.2.13", t());
 
+        let pdns = PassiveDnsDb::from_observations(&obs);
         let disc = discovery_with(&["192.0.2.10", "192.0.2.11", "192.0.2.12", "192.0.2.13"]);
         let mut want_dedicated = HashSet::new();
         let mut want_shared = HashMap::new();

@@ -25,8 +25,8 @@ pub mod resolver;
 pub mod zone;
 
 pub use active::{ActiveCampaign, ActiveObservation, CampaignResult, VantagePoint};
-pub use passive::{PassiveDnsDb, RrsetEntry};
+pub use passive::{PassiveDnsDb, RrsetAggregator, RrsetEntry, RrsetRows};
 pub use rdns::PtrRegistry;
-pub use record::{RData, Record, RrType};
+pub use record::{RData, RDataRef, Record, RrType};
 pub use resolver::{resolve, ResolutionContext};
 pub use zone::{Policy, ZoneDb};

@@ -13,12 +13,14 @@
 //! DNS requests" (§3.6) — which the world model reproduces by only feeding
 //! the database a sampled subset of simulated resolutions.
 
-use crate::record::{RData, RrType};
+use crate::record::{RData, RDataRef, RrType};
 use iotmap_dregex::query::{DnsdbQuery, DnsdbRdataQuery, RrTypeFilter};
 use iotmap_faults::PassiveDnsFaults;
-use iotmap_nettypes::{DomainName, SimDuration, SimTime, StudyPeriod, SuffixIndex};
-use std::collections::hash_map::Entry;
+use iotmap_nettypes::{
+    DomainName, FxHashMap, FxHasher, SimDuration, SimTime, StudyPeriod, SuffixIndex,
+};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 use std::ops::RangeInclusive;
 
@@ -50,15 +52,16 @@ impl RrsetEntry {
     }
 }
 
-/// The passive DNS store.
+/// The passive DNS store: the aggregated entry table plus the indexes
+/// derived from it. The table is immutable once built; observations are
+/// aggregated beforehand by an [`RrsetAggregator`].
 #[derive(Debug, Clone, Default)]
 pub struct PassiveDnsDb {
     entries: Vec<RrsetEntry>,
-    by_pair: HashMap<(DomainName, RData), usize>,
-    by_ip: HashMap<IpAddr, Vec<usize>>,
+    by_ip: FxHashMap<IpAddr, Vec<usize>>,
     by_owner: HashMap<DomainName, Vec<usize>>,
     /// Reversed-label index over owner names; postings are entry-table
-    /// indices, ascending because entries only ever append.
+    /// indices, ascending.
     by_suffix: SuffixIndex,
 }
 
@@ -68,49 +71,77 @@ impl PassiveDnsDb {
         Self::default()
     }
 
-    /// Rebuild a database from already-aggregated entries, preserving
-    /// their order, times, and counts while reconstructing every index —
-    /// the deserialization path for cached/checkpointed databases. Entries
-    /// must carry distinct `(owner, rdata)` pairs, which any dump of an
-    /// existing database satisfies.
+    /// Build a database from already-aggregated entries, preserving their
+    /// order, times, and counts — the one place the indexes are built, for
+    /// the world build, the cache restore, and degraded copies alike.
+    /// Entries must carry distinct `(owner, rdata)` pairs, which any
+    /// aggregated table satisfies. The address/owner lookups and the
+    /// suffix index are built as independent parts through `iotmap-par`.
     pub fn from_entries(entries: Vec<RrsetEntry>) -> Self {
-        let mut db = PassiveDnsDb::new();
-        db.entries.reserve(entries.len());
-        for e in entries {
-            db.push_entry(e);
+        enum Part {
+            Lookups,
+            Suffixes,
         }
+        // Rows of one owner mostly sit together (a domain's answers are
+        // first seen over its own resolutions), so the owner indexes take
+        // a run of rows per lookup.
+        let runs = || {
+            entries
+                .chunk_by(|a, b| a.owner == b.owner)
+                .scan(0, |start, run| {
+                    let rows = *start..*start + run.len();
+                    *start = rows.end;
+                    Some((&run[0].owner, rows))
+                })
+        };
+        let mut db = iotmap_par::shard_fold(
+            &[Part::Lookups, Part::Suffixes],
+            |_| PassiveDnsDb::default(),
+            |ix: &mut PassiveDnsDb, _, part| match part {
+                Part::Lookups => {
+                    for (idx, e) in entries.iter().enumerate() {
+                        if let Some(ip) = e.rdata.ip() {
+                            ix.by_ip.entry(ip).or_default().push(idx);
+                        }
+                    }
+                    for (owner, rows) in runs() {
+                        match ix.by_owner.get_mut(owner) {
+                            Some(idx) => idx.extend(rows),
+                            None => {
+                                ix.by_owner.insert(owner.clone(), rows.collect());
+                            }
+                        }
+                    }
+                }
+                Part::Suffixes => {
+                    for (owner, rows) in runs() {
+                        ix.by_suffix
+                            .insert_run(owner.as_str(), rows.start as u32..rows.end as u32);
+                    }
+                }
+            },
+            // Each part fills its own fields, and part order puts the
+            // lookups first.
+            |a, b| {
+                a.by_ip.extend(b.by_ip);
+                a.by_owner.extend(b.by_owner);
+                if a.by_suffix.is_empty() {
+                    a.by_suffix = b.by_suffix;
+                }
+            },
+        );
+        db.entries = entries;
         db
     }
 
-    /// Record one observation of `(owner, rdata)` at `time`. The common
-    /// (aggregation) case is a single hash lookup with no clones; the pair
-    /// is cloned only when a new entry is created.
-    pub fn observe(&mut self, owner: DomainName, rdata: RData, time: SimTime) {
-        match self.by_pair.entry((owner, rdata)) {
-            Entry::Occupied(o) => {
-                let e = &mut self.entries[*o.get()];
-                e.time_first = e.time_first.min(time);
-                e.time_last = e.time_last.max(time);
-                e.count += 1;
-            }
-            Entry::Vacant(v) => {
-                let idx = self.entries.len();
-                let (owner, rdata) = v.key().clone();
-                v.insert(idx);
-                if let Some(ip) = rdata.ip() {
-                    self.by_ip.entry(ip).or_default().push(idx);
-                }
-                self.by_owner.entry(owner.clone()).or_default().push(idx);
-                self.by_suffix.insert(owner.as_str(), idx as u32);
-                self.entries.push(RrsetEntry {
-                    owner,
-                    rdata,
-                    time_first: time,
-                    time_last: time,
-                    count: 1,
-                });
-            }
+    /// Aggregate raw sensor observations `(owner, rdata, time)`, in order,
+    /// into a database.
+    pub fn from_observations(observations: &[(DomainName, RData, SimTime)]) -> Self {
+        let mut table = RrsetAggregator::new();
+        for (owner, rdata, time) in observations {
+            table.observe(owner, rdata.view(), *time);
         }
+        table.into_db()
     }
 
     /// Number of unique `(owner, rdata)` entries.
@@ -206,20 +237,6 @@ impl PassiveDnsDb {
         &self.by_suffix
     }
 
-    /// Re-insert an already-aggregated entry, preserving its times and
-    /// count while maintaining every index — the degraded-copy rebuild
-    /// path. Assumes the `(owner, rdata)` pair is not already present.
-    fn push_entry(&mut self, e: RrsetEntry) {
-        let idx = self.entries.len();
-        if let Some(ip) = e.rdata.ip() {
-            self.by_ip.entry(ip).or_default().push(idx);
-        }
-        self.by_owner.entry(e.owner.clone()).or_default().push(idx);
-        self.by_suffix.insert(e.owner.as_str(), idx as u32);
-        self.by_pair.insert((e.owner.clone(), e.rdata.clone()), idx);
-        self.entries.push(e);
-    }
-
     /// A degraded copy of this database under a fault plan: sensor-side
     /// record loss drops whole `(owner, rdata)` entries by a pure roll on
     /// their identity, and sensor outage windows (days relative to
@@ -227,7 +244,7 @@ impl PassiveDnsDb {
     /// wholly inside an outage disappears, an entry straddling one has
     /// its first/last-seen times clipped to the outage boundary.
     ///
-    /// Entry order, aggregates, and all three indexes are rebuilt
+    /// Entry order, aggregates, and every index are rebuilt
     /// faithfully for the survivors, so consumers cannot tell a degraded
     /// database from one that simply observed less. Emits
     /// `faults.passive_dns.*` counters when the plan is active.
@@ -246,7 +263,7 @@ impl PassiveDnsDb {
             })
             .collect();
         let inside = |t: SimTime| outages.iter().find(|(ws, we)| t >= *ws && t < *we);
-        let mut db = PassiveDnsDb::new();
+        let mut survivors = Vec::new();
         let (mut lost, mut outage_dropped, mut clipped) = (0u64, 0u64, 0u64);
         for e in &self.entries {
             let key = iotmap_faults::key2(
@@ -276,7 +293,7 @@ impl PassiveDnsDb {
             if was_clipped {
                 clipped += 1;
             }
-            db.push_entry(e);
+            survivors.push(e);
         }
         if faults.is_active() {
             iotmap_obs::count!("faults.passive_dns.entries_lost", lost);
@@ -284,7 +301,7 @@ impl PassiveDnsDb {
             iotmap_obs::count!("faults.passive_dns.entries_clipped", clipped);
             iotmap_obs::count!("faults.passive_dns.records_dropped", lost + outage_dropped);
         }
-        db
+        PassiveDnsDb::from_entries(survivors)
     }
 
     /// [`PassiveDnsDb::search`], sharded over the entry table via
@@ -304,6 +321,206 @@ impl PassiveDnsDb {
             },
             |a, b| a.extend(b),
         )
+    }
+}
+
+/// Observations aggregated the way DNSDB stores them: one row per
+/// `(owner, rdata)` pair holding the first-seen time, the last-seen time
+/// and a count, rows in first-seen order. Names are borrowed from
+/// wherever the observations come from (the world builder borrows them
+/// from its zones), so aggregating clones nothing; [`into_db`] clones
+/// each distinct pair once.
+///
+/// Min, max and count combine commutatively, so tables aggregated over
+/// consecutive runs of observations, flushed in run order and
+/// [`absorb`]ed into one table, equal a table that observed the whole
+/// sequence — rows, aggregates and row order alike. That is what lets
+/// small, cache-resident tables do most of the aggregating.
+///
+/// The index is two-level: owner, then rdata within the owner. Rows of
+/// one owner arrive in runs (a domain's answers, its alias chain), so
+/// the owner lookup is mostly a pointer comparison with the last one and
+/// the rdata lookup probes one owner's small index, not the whole table.
+///
+/// [`into_db`]: RrsetAggregator::into_db
+/// [`absorb`]: RrsetAggregator::absorb
+#[derive(Debug, Default)]
+pub struct RrsetAggregator<'a> {
+    owners: FxHashMap<&'a DomainName, usize>,
+    /// The owner looked up last and its position in `indexes`.
+    last: Option<(&'a DomainName, usize)>,
+    indexes: Vec<OwnerIndex>,
+    rows: Vec<Row<'a>>,
+}
+
+/// Open-addressing index over one owner's rows: a power-of-two number of
+/// slots, each 0 (empty) or a row index plus one, probed linearly from
+/// the rdata's hash and kept at most half full.
+#[derive(Debug, Default)]
+struct OwnerIndex {
+    slots: Vec<u32>,
+    rows: usize,
+}
+
+/// Rows flushed out of [`RrsetAggregator`]s, in flush order. Rows of
+/// different flushes may repeat a pair; [`RrsetAggregator::absorb`]
+/// folds them together.
+#[derive(Debug, Default)]
+pub struct RrsetRows<'a> {
+    rows: Vec<Row<'a>>,
+}
+
+impl RrsetRows<'_> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True if no rows were flushed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Row<'a> {
+    owner: &'a DomainName,
+    rdata: RDataRef<'a>,
+    /// The rdata's hash, computed once per observation, so re-slotting
+    /// or absorbing a row never re-reads a name.
+    hash: u64,
+    first: SimTime,
+    last: SimTime,
+    count: u64,
+}
+
+impl<'a> RrsetAggregator<'a> {
+    /// Empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empty table with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        RrsetAggregator {
+            rows: Vec::with_capacity(rows),
+            ..Self::default()
+        }
+    }
+
+    /// Number of distinct `(owner, rdata)` rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True if nothing has been observed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Record one observation of `(owner, rdata)` at `time`.
+    pub fn observe(&mut self, owner: &'a DomainName, rdata: RDataRef<'a>, time: SimTime) {
+        let mut h = FxHasher::default();
+        rdata.hash(&mut h);
+        self.add(Row {
+            owner,
+            rdata,
+            hash: h.finish(),
+            first: time,
+            last: time,
+            count: 1,
+        });
+    }
+
+    /// Move the rows, in first-seen order, to the end of `out`, leaving
+    /// this table empty for the observations that follow.
+    pub fn flush_into(&mut self, out: &mut RrsetRows<'a>) {
+        self.owners.clear();
+        self.last = None;
+        self.indexes.clear();
+        out.rows.append(&mut self.rows);
+    }
+
+    /// Fold in rows flushed from the observations that follow this
+    /// table's, in flush order.
+    pub fn absorb(&mut self, later: RrsetRows<'a>) {
+        for row in later.rows {
+            self.add(row);
+        }
+    }
+
+    fn add(&mut self, row: Row<'a>) {
+        let owner = match self.last {
+            Some((last, at)) if std::ptr::eq(last, row.owner) => at,
+            _ => {
+                let next = self.indexes.len();
+                let at = *self.owners.entry(row.owner).or_insert(next);
+                if at == next {
+                    self.indexes.push(OwnerIndex::default());
+                }
+                self.last = Some((row.owner, at));
+                at
+            }
+        };
+        let index = &mut self.indexes[owner];
+        if 2 * (index.rows + 1) > index.slots.len() {
+            index.grow(&self.rows);
+        }
+        let mask = index.slots.len() - 1;
+        let mut i = row.hash as usize & mask;
+        loop {
+            match index.slots[i] {
+                0 => {
+                    self.rows.push(row);
+                    index.slots[i] = self.rows.len() as u32;
+                    index.rows += 1;
+                    return;
+                }
+                slot => {
+                    let r = &mut self.rows[slot as usize - 1];
+                    if r.hash == row.hash && r.rdata == row.rdata {
+                        r.first = r.first.min(row.first);
+                        r.last = r.last.max(row.last);
+                        r.count += row.count;
+                        return;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The finished table as a database, rows in first-seen order.
+    pub fn into_db(self) -> PassiveDnsDb {
+        let entries = self
+            .rows
+            .into_iter()
+            .map(|r| RrsetEntry {
+                owner: r.owner.clone(),
+                rdata: r.rdata.to_rdata(),
+                time_first: r.first,
+                time_last: r.last,
+                count: r.count,
+            })
+            .collect();
+        PassiveDnsDb::from_entries(entries)
+    }
+}
+
+impl OwnerIndex {
+    /// Double the slots and re-slot the owner's rows by their stored
+    /// hashes.
+    fn grow(&mut self, rows: &[Row<'_>]) {
+        let slots = vec![0; (2 * self.slots.len()).max(8)];
+        let old = std::mem::replace(&mut self.slots, slots);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut i = rows[slot as usize - 1].hash as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 }
 
@@ -343,23 +560,24 @@ mod tests {
 
     #[test]
     fn days_in_clips_rows_to_the_period() {
-        let mut db = PassiveDnsDb::new();
-        // Starts before the period, ends inside it.
-        db.observe(d("early.iot.sap"), a(1), Date::new(2022, 2, 25).midnight());
-        db.observe(d("early.iot.sap"), a(1), t(3));
-        // Starts inside the period, ends after it.
-        db.observe(d("late.iot.sap"), a(2), t(6));
-        db.observe(d("late.iot.sap"), a(2), Date::new(2022, 3, 20).midnight());
-        // Seen twice on one day.
-        db.observe(d("once.iot.sap"), a(3), t(4));
-        db.observe(
-            d("once.iot.sap"),
-            a(3),
-            t(4) + SimDuration::seconds(5 * 3600),
-        );
-        // Spans the whole period and more.
-        db.observe(d("wide.iot.sap"), a(4), Date::new(2022, 2, 1).midnight());
-        db.observe(d("wide.iot.sap"), a(4), Date::new(2022, 4, 1).midnight());
+        let db = PassiveDnsDb::from_observations(&[
+            // Starts before the period, ends inside it.
+            (d("early.iot.sap"), a(1), Date::new(2022, 2, 25).midnight()),
+            (d("early.iot.sap"), a(1), t(3)),
+            // Starts inside the period, ends after it.
+            (d("late.iot.sap"), a(2), t(6)),
+            (d("late.iot.sap"), a(2), Date::new(2022, 3, 20).midnight()),
+            // Seen twice on one day.
+            (d("once.iot.sap"), a(3), t(4)),
+            (
+                d("once.iot.sap"),
+                a(3),
+                t(4) + SimDuration::seconds(5 * 3600),
+            ),
+            // Spans the whole period and more.
+            (d("wide.iot.sap"), a(4), Date::new(2022, 2, 1).midnight()),
+            (d("wide.iot.sap"), a(4), Date::new(2022, 4, 1).midnight()),
+        ]);
         let day = |date: u32| t(date).epoch_days();
         let spans: Vec<_> = db.entries().map(|e| e.days_in(&week())).collect();
         assert_eq!(
@@ -380,10 +598,11 @@ mod tests {
 
     #[test]
     fn observe_aggregates_counts_and_times() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("x.iot.sap"), a(1), t(3));
-        db.observe(d("x.iot.sap"), a(1), t(5));
-        db.observe(d("x.iot.sap"), a(1), t(2));
+        let db = PassiveDnsDb::from_observations(&[
+            (d("x.iot.sap"), a(1), t(3)),
+            (d("x.iot.sap"), a(1), t(5)),
+            (d("x.iot.sap"), a(1), t(2)),
+        ]);
         assert_eq!(db.len(), 1);
         let e = db.entries().next().unwrap();
         assert_eq!(e.count, 3);
@@ -392,11 +611,82 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_consecutive_runs_equals_one_table() {
+        let mut observations = Vec::new();
+        for i in 0..60u32 {
+            let owner = d(&format!("h{}.iot.sap", i % 7));
+            let rdata = match i % 3 {
+                0 => a((i % 5) as u8),
+                1 => RData::Cname(d(&format!("lb{}.cloud.sap", i % 2))),
+                _ => RData::Aaaa(format!("2001:db8::{}", i % 4).parse().unwrap()),
+            };
+            observations.push((owner, rdata, t(1 + (i * 7) % 20)));
+        }
+        let whole = PassiveDnsDb::from_observations(&observations);
+        for cut in [0, 1, 17, 30, 59, 60] {
+            let (head, tail) = observations.split_at(cut);
+            // Two runs through one reused table, then absorbed.
+            let mut run = RrsetAggregator::new();
+            let mut rows = RrsetRows::default();
+            for part in [head, tail] {
+                for (owner, rdata, time) in part {
+                    run.observe(owner, rdata.view(), *time);
+                }
+                run.flush_into(&mut rows);
+            }
+            assert!(run.is_empty());
+            let mut table = RrsetAggregator::new();
+            table.absorb(rows);
+            let split = table.into_db();
+            assert!(split.entries().eq(whole.entries()), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn from_entries_builds_the_same_indexes_at_any_thread_count() {
+        use iotmap_nettypes::SuffixQuery;
+        // Runs of five rows per owner, owners recurring after a while,
+        // addresses shared across owners.
+        let observations: Vec<_> = (0..60u8)
+            .map(|i| {
+                let owner = d(&format!("n{}.z{}.iot.sap", (i / 5) % 7, (i / 5) % 3));
+                (owner, a(i % 11), t(2))
+            })
+            .collect();
+        let entries: Vec<RrsetEntry> = PassiveDnsDb::from_observations(&observations)
+            .entries()
+            .cloned()
+            .collect();
+        // The indexes one row at a time.
+        let mut by_ip: FxHashMap<IpAddr, Vec<usize>> = FxHashMap::default();
+        let mut by_owner: HashMap<DomainName, Vec<usize>> = HashMap::new();
+        let mut by_suffix = SuffixIndex::new();
+        for (idx, e) in entries.iter().enumerate() {
+            by_ip.entry(e.rdata.ip().unwrap()).or_default().push(idx);
+            by_owner.entry(e.owner.clone()).or_default().push(idx);
+            by_suffix.insert(e.owner.as_str(), idx as u32);
+        }
+        let queries = [".z1.iot.sap.", ".iot.sap.", "1.z1.iot.sap.", "z2.iot.sap."]
+            .map(|q| SuffixQuery::parse(q).unwrap());
+        for threads in [1, 2, 4] {
+            let db =
+                iotmap_par::with_threads(threads, || PassiveDnsDb::from_entries(entries.clone()));
+            assert_eq!(db.by_ip, by_ip, "threads {threads}");
+            assert_eq!(db.by_owner, by_owner, "threads {threads}");
+            for q in &queries {
+                assert_eq!(db.owner_suffix_index().lookup(q), by_suffix.lookup(q));
+            }
+            assert_eq!(db.owner_suffix_index().len(), entries.len());
+        }
+    }
+
+    #[test]
     fn flexible_search_matches_pattern_and_window() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("hub1.azure-devices.net"), a(1), t(2));
-        db.observe(d("hub2.azure-devices.net"), a(2), t(3));
-        db.observe(d("unrelated.example.com"), a(3), t(3));
+        let db = PassiveDnsDb::from_observations(&[
+            (d("hub1.azure-devices.net"), a(1), t(2)),
+            (d("hub2.azure-devices.net"), a(2), t(3)),
+            (d("unrelated.example.com"), a(3), t(3)),
+        ]);
         let q = DnsdbQuery::flexible(r"(.+\.|^)(azure-devices\.net\.$)/A").unwrap();
         let hits: Vec<_> = db.search(&q, week()).collect();
         assert_eq!(hits.len(), 2);
@@ -404,28 +694,29 @@ mod tests {
 
     #[test]
     fn search_respects_time_window() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(
+        let old = (
             d("old.azure-devices.net"),
             a(1),
             Date::new(2021, 6, 1).midnight(),
         );
         let q = DnsdbQuery::flexible(r"(.+\.|^)(azure-devices\.net\.$)/A").unwrap();
+        let db = PassiveDnsDb::from_observations(std::slice::from_ref(&old));
         assert_eq!(db.search(&q, week()).count(), 0);
         // Overlap: first seen before the window, last seen inside.
-        db.observe(d("old.azure-devices.net"), a(1), t(4));
+        let db = PassiveDnsDb::from_observations(&[old, (d("old.azure-devices.net"), a(1), t(4))]);
         assert_eq!(db.search(&q, week()).count(), 1);
     }
 
     #[test]
     fn rrtype_filter_applies() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("h.azure-devices.net"), a(1), t(2));
-        db.observe(
-            d("h.azure-devices.net"),
-            RData::Aaaa("2001:db8::1".parse().unwrap()),
-            t(2),
-        );
+        let db = PassiveDnsDb::from_observations(&[
+            (d("h.azure-devices.net"), a(1), t(2)),
+            (
+                d("h.azure-devices.net"),
+                RData::Aaaa("2001:db8::1".parse().unwrap()),
+                t(2),
+            ),
+        ]);
         let qa = DnsdbQuery::flexible(r"(.+\.|^)(azure-devices\.net\.$)/A").unwrap();
         let q6 = DnsdbQuery::flexible(r"(.+\.|^)(azure-devices\.net\.$)/AAAA").unwrap();
         assert_eq!(db.search(&qa, week()).count(), 1);
@@ -434,10 +725,11 @@ mod tests {
 
     #[test]
     fn domains_for_ip_inverse_lookup() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("iot.example.com"), a(7), t(2));
-        db.observe(d("www.shop.com"), a(7), t(3));
-        db.observe(d("other.example.com"), a(8), t(3));
+        let db = PassiveDnsDb::from_observations(&[
+            (d("iot.example.com"), a(7), t(2)),
+            (d("www.shop.com"), a(7), t(3)),
+            (d("other.example.com"), a(8), t(3)),
+        ]);
         let hits: Vec<_> = db
             .domains_for_ip("192.0.2.7".parse().unwrap(), week())
             .map(|e| e.owner.as_str().to_string())
@@ -449,8 +741,7 @@ mod tests {
 
     #[test]
     fn rdata_query_round_trip() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("iot.example.com"), a(9), t(2));
+        let db = PassiveDnsDb::from_observations(&[(d("iot.example.com"), a(9), t(2))]);
         let q = DnsdbRdataQuery::parse("rdata/ip/192.0.2.9").unwrap();
         assert_eq!(db.search_rdata(&q, week()).count(), 1);
         let none = DnsdbRdataQuery::parse("rdata/ip/192.0.2.200").unwrap();
@@ -459,15 +750,17 @@ mod tests {
 
     #[test]
     fn par_search_matches_serial_at_any_thread_count() {
-        let mut db = PassiveDnsDb::new();
-        for i in 0..200u8 {
-            let owner = if i % 3 == 0 {
-                format!("hub{i}.azure-devices.net")
-            } else {
-                format!("host{i}.example.com")
-            };
-            db.observe(d(&owner), a(i), t(1 + (i % 7) as u32));
-        }
+        let observations: Vec<_> = (0..200u8)
+            .map(|i| {
+                let owner = if i % 3 == 0 {
+                    format!("hub{i}.azure-devices.net")
+                } else {
+                    format!("host{i}.example.com")
+                };
+                (d(&owner), a(i), t(1 + (i % 7) as u32))
+            })
+            .collect();
+        let db = PassiveDnsDb::from_observations(&observations);
         let q = DnsdbQuery::flexible(r"(.+\.|^)(azure-devices\.net\.$)/A").unwrap();
         let serial: Vec<_> = db.search(&q, week()).collect();
         for threads in [1, 2, 4, 8] {
@@ -479,11 +772,12 @@ mod tests {
     #[test]
     fn suffix_index_tracks_observe_and_degraded_rebuilds() {
         use iotmap_nettypes::SuffixQuery;
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("hub1.azure-devices.net"), a(1), t(2));
-        db.observe(d("hub1.azure-devices.net"), a(1), t(4)); // aggregate, no new posting
-        db.observe(d("hub2.azure-devices.net"), a(2), t(3));
-        db.observe(d("unrelated.example.com"), a(3), t(3));
+        let db = PassiveDnsDb::from_observations(&[
+            (d("hub1.azure-devices.net"), a(1), t(2)),
+            (d("hub1.azure-devices.net"), a(1), t(4)), // aggregate, no new posting
+            (d("hub2.azure-devices.net"), a(2), t(3)),
+            (d("unrelated.example.com"), a(3), t(3)),
+        ]);
         let q = SuffixQuery::parse(".azure-devices.net.").unwrap();
         assert_eq!(db.owner_suffix_index().lookup(&q), vec![0, 1]);
         // The degraded rebuild maintains the index for survivors too.
@@ -494,10 +788,11 @@ mod tests {
 
     #[test]
     fn owners_in_dedupes() {
-        let mut db = PassiveDnsDb::new();
-        db.observe(d("a.example.com"), a(1), t(2));
-        db.observe(d("a.example.com"), a(2), t(2));
-        db.observe(d("b.example.com"), a(3), t(2));
+        let db = PassiveDnsDb::from_observations(&[
+            (d("a.example.com"), a(1), t(2)),
+            (d("a.example.com"), a(2), t(2)),
+            (d("b.example.com"), a(3), t(2)),
+        ]);
         assert_eq!(db.owners_in(week()).len(), 2);
     }
 }

@@ -60,6 +60,48 @@ impl RData {
             _ => None,
         }
     }
+
+    /// A borrowed view of this record.
+    pub fn view(&self) -> RDataRef<'_> {
+        match self {
+            RData::A(a) => RDataRef::A(*a),
+            RData::Aaaa(a) => RDataRef::Aaaa(*a),
+            RData::Cname(n) => RDataRef::Cname(n),
+            RData::Ptr(n) => RDataRef::Ptr(n),
+        }
+    }
+}
+
+/// Record data borrowed from wherever it is stored: addresses by value,
+/// names by reference. Equal views mean equal records, so a view can key
+/// a table without cloning the names it points to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RDataRef<'a> {
+    A(Ipv4Addr),
+    Aaaa(Ipv6Addr),
+    Cname(&'a DomainName),
+    Ptr(&'a DomainName),
+}
+
+impl RDataRef<'_> {
+    /// The address, for address records.
+    pub fn ip(self) -> Option<IpAddr> {
+        match self {
+            RDataRef::A(a) => Some(IpAddr::V4(a)),
+            RDataRef::Aaaa(a) => Some(IpAddr::V6(a)),
+            _ => None,
+        }
+    }
+
+    /// The owned record.
+    pub fn to_rdata(self) -> RData {
+        match self {
+            RDataRef::A(a) => RData::A(a),
+            RDataRef::Aaaa(a) => RData::Aaaa(a),
+            RDataRef::Cname(n) => RData::Cname(n.clone()),
+            RDataRef::Ptr(n) => RData::Ptr(n.clone()),
+        }
+    }
 }
 
 impl fmt::Display for RData {
@@ -125,6 +167,22 @@ mod tests {
         assert_eq!(c.rrtype(), RrType::Cname);
         assert!(c.ip().is_none());
         assert_eq!(c.name().unwrap().as_str(), "target.example.com");
+    }
+
+    #[test]
+    fn views_round_trip_and_compare_like_records() {
+        let records = [
+            RData::A("192.0.2.1".parse().unwrap()),
+            RData::Aaaa("2001:db8::1".parse().unwrap()),
+            RData::Cname(d("target.example.com")),
+            RData::Ptr(d("target.example.com")),
+        ];
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(r.view().to_rdata(), *r);
+            for (j, other) in records.iter().enumerate() {
+                assert_eq!(r.view() == other.view(), i == j);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Recursive resolution: CNAME chasing over a [`ZoneDb`].
 
-use crate::record::{RData, RrType};
+use crate::record::{RDataRef, RrType};
 use crate::zone::ZoneDb;
 use iotmap_nettypes::{Continent, DomainName, SimTime};
 use std::net::IpAddr;
@@ -43,18 +43,24 @@ pub fn resolve(
     ctx: &ResolutionContext,
 ) -> Vec<IpAddr> {
     debug_assert!(matches!(rrtype, RrType::A | RrType::Aaaa));
-    let mut current = name.clone();
+    let mut current = name;
     for _ in 0..MAX_CHAIN {
-        let answers = db.query(&current, rrtype, ctx);
-        if answers.is_empty() {
-            return Vec::new();
-        }
         // Either all addresses or a CNAME.
-        if let Some(RData::Cname(target)) = answers.iter().find(|r| matches!(r, RData::Cname(_))) {
-            current = target.clone();
-            continue;
+        let mut ips = Vec::new();
+        let mut alias = None;
+        for r in db.answers(current, rrtype, ctx) {
+            match r {
+                RDataRef::Cname(target) => {
+                    alias = Some(target);
+                    break;
+                }
+                r => ips.extend(r.ip()),
+            }
         }
-        return answers.iter().filter_map(|r| r.ip()).collect();
+        match alias {
+            Some(target) => current = target,
+            None => return ips,
+        }
     }
     Vec::new()
 }
@@ -69,6 +75,7 @@ pub fn resolve_all(db: &ZoneDb, name: &DomainName, ctx: &ResolutionContext) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RData;
     use crate::zone::Policy;
     use iotmap_nettypes::Date;
 

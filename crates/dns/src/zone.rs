@@ -7,10 +7,9 @@
 //! different regional gateways — the ≈17% coverage gain). [`Policy`]
 //! captures those behaviours.
 
-use crate::record::{RData, RrType};
+use crate::record::{RData, RDataRef, RrType};
 use crate::resolver::ResolutionContext;
-use iotmap_nettypes::{Continent, DomainName};
-use std::collections::HashMap;
+use iotmap_nettypes::{Continent, DomainName, FxHashMap};
 
 /// How an owner name answers queries of one record type.
 #[derive(Debug, Clone)]
@@ -40,14 +39,14 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Evaluate the policy in a resolution context.
-    pub fn answer(&self, ctx: &ResolutionContext) -> Vec<RData> {
-        match self {
-            Policy::Static(records) => records.clone(),
-            Policy::Rotating { pool, window, salt } => {
-                if pool.is_empty() {
-                    return Vec::new();
-                }
+    /// Evaluate the policy in a resolution context: the answer records, in
+    /// order, borrowed from the policy.
+    pub fn answers(&self, ctx: &ResolutionContext) -> impl Iterator<Item = RDataRef<'_>> {
+        // Every answer is `take` records of a stored slice starting at
+        // `start` and wrapping, or the alias's CNAME.
+        let (records, start, take, alias): (&[RData], usize, usize, _) = match self {
+            Policy::Static(records) => (records, 0, records.len(), None),
+            Policy::Rotating { pool, window, salt } if !pool.is_empty() => {
                 let w = (*window).clamp(1, pool.len());
                 // Rotate by day; resolver identity only nudges the slice,
                 // so vantage points overlap heavily (as in reality).
@@ -55,20 +54,27 @@ impl Policy {
                     .wrapping_add((ctx.time.epoch_days() as u64).wrapping_mul(w as u64 * 2 + 1))
                     .wrapping_add(((ctx.resolver_id >> 1) & 1) * (w as u64 / 2).max(1))
                     % pool.len() as u64;
-                (0..w)
-                    .map(|i| pool[(shift as usize + i) % pool.len()].clone())
-                    .collect()
+                (pool, shift as usize, w, None)
             }
+            Policy::Rotating { .. } => (&[][..], 0, 0, None),
             Policy::Geo {
                 by_continent,
                 fallback,
-            } => by_continent
-                .iter()
-                .find(|(c, _)| *c == ctx.client_continent)
-                .map(|(_, r)| r.clone())
-                .unwrap_or_else(|| fallback.clone()),
-            Policy::Alias(target) => vec![RData::Cname(target.clone())],
-        }
+            } => {
+                let records = by_continent
+                    .iter()
+                    .find(|(c, _)| *c == ctx.client_continent)
+                    .map_or(&fallback[..], |(_, r)| r);
+                (records, 0, records.len(), None)
+            }
+            Policy::Alias(target) => (&[][..], 0, 0, Some(RDataRef::Cname(target))),
+        };
+        records[start..]
+            .iter()
+            .chain(&records[..start])
+            .take(take)
+            .map(RData::view)
+            .chain(alias)
     }
 
     /// All records the policy could ever return — the ground-truth set.
@@ -99,7 +105,7 @@ impl Policy {
 /// simulator, the measurement pipeline's active campaigns) query.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneDb {
-    entries: HashMap<DomainName, HashMap<RrTypeKey, Policy>>,
+    entries: FxHashMap<DomainName, FxHashMap<RrTypeKey, Policy>>,
 }
 
 /// Policies are stored per address family; CNAMEs apply to both.
@@ -156,21 +162,35 @@ impl ZoneDb {
 
     /// Answer a single query (no CNAME chasing — see [`crate::resolver`]).
     pub fn query(&self, owner: &DomainName, rrtype: RrType, ctx: &ResolutionContext) -> Vec<RData> {
-        let Some(by_type) = self.entries.get(owner) else {
-            return Vec::new();
-        };
-        // Exact type match first; otherwise a CNAME at the owner applies.
-        if let Some(k) = key_for(rrtype) {
-            if let Some(policy) = by_type.get(&k) {
-                return policy.answer(ctx);
-            }
-        }
-        if rrtype != RrType::Cname {
-            if let Some(policy) = by_type.get(&RrTypeKey::Cname) {
-                return policy.answer(ctx);
-            }
-        }
-        Vec::new()
+        self.answers(owner, rrtype, ctx)
+            .map(RDataRef::to_rdata)
+            .collect()
+    }
+
+    /// [`ZoneDb::query`] without cloning: the same records, in the same
+    /// order, borrowed from the zone.
+    pub fn answers(
+        &self,
+        owner: &DomainName,
+        rrtype: RrType,
+        ctx: &ResolutionContext,
+    ) -> impl Iterator<Item = RDataRef<'_>> {
+        self.policy(owner, rrtype)
+            .map(|policy| policy.answers(ctx))
+            .into_iter()
+            .flatten()
+    }
+
+    /// The policy answering `(owner, rrtype)`: the exact type's, otherwise
+    /// a CNAME at the owner (which applies to every address type).
+    fn policy(&self, owner: &DomainName, rrtype: RrType) -> Option<&Policy> {
+        let by_type = self.entries.get(owner)?;
+        key_for(rrtype)
+            .and_then(|k| by_type.get(&k))
+            .or_else(|| match rrtype {
+                RrType::Cname => None,
+                _ => by_type.get(&RrTypeKey::Cname),
+            })
     }
 
     /// Does the name exist at all?

@@ -7,6 +7,7 @@
 //! trigger in naive engines.
 
 use crate::prog::{Inst, Program, SetEntry};
+use std::cell::Cell;
 
 /// A deduplicated list of thread program counters.
 struct ThreadList {
@@ -239,10 +240,67 @@ pub fn search_set(prog: &Program, entries: &[SetEntry], input: &[u8], matched: &
     flush_vm_metrics(steps);
 }
 
-/// Report one VM execution's accumulated step count.
+thread_local! {
+    /// Executions and steps awaiting one record while a [`MetricsBatch`]
+    /// is open on this thread.
+    static PENDING: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+/// Report one VM execution's step count: into the open batch, if any,
+/// otherwise straight to the recorder.
 fn flush_vm_metrics(steps: u64) {
-    iotmap_obs::count!("dregex.vm.execs");
-    iotmap_obs::count!("dregex.vm.steps", steps);
+    let batched = PENDING.with(|p| match p.get() {
+        Some((execs, total)) => {
+            p.set(Some((execs + 1, total + steps)));
+            true
+        }
+        None => false,
+    });
+    if !batched {
+        iotmap_obs::count!("dregex.vm.execs");
+        iotmap_obs::count!("dregex.vm.steps", steps);
+    }
+}
+
+/// Batches this thread's `dregex.vm.execs`/`dregex.vm.steps` counters:
+/// while the guard lives, VM executions add to two locals, and dropping
+/// it records each total once. Open one around a pass that runs many
+/// matches; a guard opened inside another joins the outer batch, and
+/// without one every execution records its own counters. The totals are
+/// the same either way.
+#[must_use = "the batch closes when the guard drops"]
+pub struct MetricsBatch {
+    outermost: bool,
+}
+
+impl MetricsBatch {
+    /// Open a batch on this thread (a no-op when no recorder is
+    /// installed, or inside an open batch).
+    pub fn open() -> Self {
+        let outermost = iotmap_obs::enabled()
+            && PENDING.with(|p| {
+                let idle = p.get().is_none();
+                if idle {
+                    p.set(Some((0, 0)));
+                }
+                idle
+            });
+        MetricsBatch { outermost }
+    }
+}
+
+impl Drop for MetricsBatch {
+    fn drop(&mut self) {
+        if !self.outermost {
+            return;
+        }
+        if let Some((execs, steps)) = PENDING.with(Cell::take) {
+            if execs > 0 {
+                iotmap_obs::count!("dregex.vm.execs", execs);
+                iotmap_obs::count!("dregex.vm.steps", steps);
+            }
+        }
+    }
 }
 
 /// Leftmost match: `(start, end)` of the first match, shortest end for the
@@ -265,7 +323,41 @@ pub fn find(prog: &Program, input: &[u8]) -> Option<(usize, usize)> {
 
 #[cfg(test)]
 mod tests {
-    use crate::Regex;
+    use crate::{PatternSet, Regex};
+
+    #[test]
+    fn batched_metrics_record_the_same_totals_once() {
+        let re = Regex::new("(.+\\.|^)(iot\\.example\\.)$").unwrap();
+        let set = PatternSet::new(&["iot", "^dev", "x$"]).unwrap();
+        let names = ["a.iot.example.", "dev.other.", "box", "iot.example."];
+        let work = || {
+            for name in names {
+                re.is_match(name);
+                re.is_full_match(name);
+                re.find(name);
+                set.matches(name);
+            }
+        };
+        let counters = |report: &iotmap_obs::RunReport| {
+            let get = |k: &str| report.counters.get(k).copied();
+            (get("dregex.vm.execs"), get("dregex.vm.steps"))
+        };
+        let ((), each) = iotmap_obs::capture(work);
+        let ((), batched) = iotmap_obs::capture(|| {
+            let _batch = super::MetricsBatch::open();
+            let _nested = super::MetricsBatch::open();
+            work();
+        });
+        assert!(
+            counters(&each).0.is_some_and(|execs| execs >= 4),
+            "{:?}",
+            counters(&each)
+        );
+        assert_eq!(counters(&batched), counters(&each));
+        // An empty batch records nothing.
+        let ((), empty) = iotmap_obs::capture(|| drop(super::MetricsBatch::open()));
+        assert_eq!(counters(&empty), (None, None));
+    }
 
     #[test]
     fn search_finds_interior_matches() {

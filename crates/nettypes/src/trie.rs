@@ -12,9 +12,10 @@
 //! under `.amazonaws.com`" is one trie walk instead of a scan — the lookup
 //! shape §3.2's literal-suffixed provider patterns need.
 
+use crate::fxhash::FxHashMap;
 use crate::prefix::{Ipv4Prefix, Ipv6Prefix};
-use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 /// A node of the binary trie. Children are indexed by the next bit.
 #[derive(Debug, Clone)]
@@ -240,7 +241,7 @@ impl<V> PrefixMap<V> {
 /// every name inserted at or below this node, in insertion order.
 #[derive(Debug, Clone, Default)]
 struct SuffixNode {
-    children: HashMap<Box<str>, SuffixNode>,
+    children: FxHashMap<Box<str>, SuffixNode>,
     ids: Vec<u32>,
 }
 
@@ -328,19 +329,32 @@ impl SuffixIndex {
     /// Insert `name` under `id`. Ids must be non-decreasing across calls
     /// (insert corpus rows in order).
     pub fn insert(&mut self, name: &str, id: u32) {
+        self.insert_run(name, id..id + 1);
+    }
+
+    /// Insert `name` under each of `ids` — a run of consecutive corpus
+    /// rows sharing one name, for one walk of the name's labels. Same
+    /// ordering contract as [`SuffixIndex::insert`].
+    pub fn insert_run(&mut self, name: &str, ids: Range<u32>) {
         let name = name.strip_suffix('.').unwrap_or(name);
         let mut node = &mut self.root;
-        node.ids.push(id);
+        node.ids.extend(ids.clone());
         for label in name.rsplit('.') {
+            let folded;
             let key = if label.bytes().any(|b| b.is_ascii_uppercase()) {
-                Box::from(label.to_ascii_lowercase())
+                folded = label.to_ascii_lowercase();
+                &folded[..]
             } else {
-                Box::from(label)
+                label
             };
-            node = node.children.entry(key).or_default();
-            node.ids.push(id);
+            // Look the label up by reference: only a new child allocates.
+            if !node.children.contains_key(key) {
+                node.children.insert(Box::from(key), SuffixNode::default());
+            }
+            node = node.children.get_mut(key).expect("child inserted above");
+            node.ids.extend(ids.clone());
         }
-        self.names += 1;
+        self.names += ids.len();
     }
 
     /// All ids whose names end with the queried suffix, ascending and

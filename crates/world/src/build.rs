@@ -8,7 +8,10 @@ use crate::geodb::{CityId, GeoDb};
 use crate::isp::{IspModel, TenantHomes};
 use crate::providers::{catalog, DomainStyle, ProviderSpec, SiteHosting};
 use crate::server::{Server, ServerId};
-use iotmap_dns::{PassiveDnsDb, Policy, RData, ResolutionContext, RrType, ZoneDb};
+use iotmap_dns::{
+    PassiveDnsDb, Policy, RData, RDataRef, ResolutionContext, RrType, RrsetAggregator, RrsetRows,
+    ZoneDb,
+};
 use iotmap_nettypes::bgp::{BgpOrigin, BgpTable};
 use iotmap_nettypes::{
     Asn, Continent, Date, DomainName, Ipv4Prefix, Ipv6Prefix, PortProto, SimDuration, SimRng,
@@ -1072,6 +1075,17 @@ impl Builder {
     }
 
     /// Simulate the global resolver activity the passive-DNS sensors see.
+    ///
+    /// Three passes reproduce the serial observation sequence exactly
+    /// (DESIGN.md, "Passive-DNS synthesis"):
+    ///
+    /// 1. *resolve* — block by block, draw every resolution context from
+    ///    the `pdns` stream serially in domain order (no draw depends on
+    ///    an answer), then resolve the block in parallel against borrowed
+    ///    zone answers, aggregating each domain's resolutions locally;
+    /// 2. *merge* — absorb the local rows in draw order through one
+    ///    table, so rows keep their global first-seen order;
+    /// 3. *index* — build the database from the finished table, once.
     fn fill_passive_dns(&mut self) {
         let mut rng = self.rng.fork("pdns");
         let continents = [
@@ -1083,13 +1097,21 @@ impl Builder {
         ];
         let weights: Vec<f64> = continents.iter().map(|c| c.1).collect();
         let (d0, d1) = self.sim_days;
-        let domains = std::mem::take(&mut self.pdns_domains);
-        for (domain, popularity, observed) in &domains {
-            if !observed {
-                continue;
-            }
-            for day in (d0..d1).step_by(1) {
-                if !rng.chance(*popularity) {
+        let zones = &self.zones;
+        let observed: Vec<(&DomainName, f64)> = self
+            .pdns_domains
+            .iter()
+            .filter(|(_, _, observed)| *observed)
+            .map(|(domain, popularity, _)| (domain, *popularity))
+            .collect();
+
+        let resolve_span = iotmap_obs::span!("world.passive_dns.resolve");
+        let mut batches = Vec::new();
+        let mut resolutions = 0;
+        let mut draws = Vec::new();
+        for (i, &(domain, popularity)) in observed.iter().enumerate() {
+            for day in d0..d1 {
+                if !rng.chance(popularity) {
                     continue;
                 }
                 let n_obs = 1 + rng.gen_below(2);
@@ -1100,39 +1122,38 @@ impl Builder {
                         time: Date::from_epoch_days(day).midnight() + SimDuration::hours(12),
                         resolver_id: rng.gen_below(40),
                     };
-                    self.record_chain(domain, &ctx, 0);
+                    draws.push((domain, ctx));
                 }
             }
+            if draws.len() >= PDNS_BLOCK_RESOLUTIONS || i + 1 == observed.len() {
+                resolutions += draws.len();
+                batches.extend(resolve_block(zones, &draws));
+                draws.clear();
+            }
         }
-        self.pdns_domains = domains;
-    }
+        iotmap_obs::annotate!("domains", observed.len());
+        iotmap_obs::annotate!("resolutions", resolutions);
+        drop(resolve_span);
 
-    /// Record what a resolver (and thus the passive-DNS sensor next to it)
-    /// observes when resolving `domain`: the CNAME chain and the terminal
-    /// address records, each under its own owner name — exactly how DNSDB
-    /// stores chains.
-    fn record_chain(&mut self, domain: &DomainName, ctx: &ResolutionContext, depth: usize) {
-        if depth > 4 {
-            return;
+        let merge_span = iotmap_obs::span!("world.passive_dns.merge");
+        let rows: usize = batches.iter().map(RrsetRows::len).sum();
+        iotmap_obs::annotate!("rows", rows);
+        let mut table = RrsetAggregator::with_capacity(rows);
+        for batch in batches {
+            table.absorb(batch);
         }
-        for rrtype in [RrType::A, RrType::Aaaa] {
-            let answers = self.zones.query(domain, rrtype, ctx);
-            for r in answers {
-                match &r {
-                    RData::Cname(target) => {
-                        self.passive_dns
-                            .observe(domain.clone(), r.clone(), ctx.time);
-                        let t = target.clone();
-                        self.record_chain(&t, ctx, depth + 1);
-                        break; // chain recorded once, not per rrtype
-                    }
-                    _ => {
-                        self.passive_dns
-                            .observe(domain.clone(), r.clone(), ctx.time);
-                    }
-                }
-            }
-        }
+        drop(merge_span);
+
+        let index_span = iotmap_obs::span!("world.passive_dns.index");
+        iotmap_obs::annotate!("entries", table.len());
+        let db = table.into_db();
+        drop(index_span);
+
+        iotmap_obs::annotate!("domains", observed.len());
+        iotmap_obs::annotate!("resolutions", resolutions);
+        iotmap_obs::annotate!("observations", db.entries().map(|e| e.count).sum::<u64>());
+        iotmap_obs::annotate!("entries", db.len());
+        self.passive_dns = db;
     }
 
     fn build_published(&mut self) {
@@ -1196,6 +1217,65 @@ impl Builder {
                 .into_iter()
                 .map(|b| Ipv4Prefix::new(Ipv4Addr::from(b << 8), 24))
                 .collect();
+        }
+    }
+}
+
+/// Resolutions drawn ahead of each parallel resolve: bounds the drawn
+/// contexts held at once, and keeps each block's halves of similar cost
+/// (domains that create many rows cluster in the domain list).
+const PDNS_BLOCK_RESOLUTIONS: usize = 32_768;
+
+/// Resolve one block of drawn resolutions in parallel. Shards split the
+/// resolutions, not the domains, so one heavy domain cannot leave a
+/// worker with the block. Each domain's run of resolutions aggregates in
+/// a small table, flushed when the domain changes; the flushed rows come
+/// back in shard order, which is draw order.
+fn resolve_block<'a>(
+    zones: &'a ZoneDb,
+    draws: &[(&'a DomainName, ResolutionContext)],
+) -> Vec<RrsetRows<'a>> {
+    iotmap_par::shard_chunks(draws, |_, draws| {
+        let mut run = RrsetAggregator::new();
+        let mut rows = RrsetRows::default();
+        let mut current: Option<&DomainName> = None;
+        for &(domain, ref ctx) in draws {
+            if current.is_some_and(|c| !std::ptr::eq(c, domain)) {
+                run.flush_into(&mut rows);
+            }
+            current = Some(domain);
+            observe_resolution(zones, domain, ctx, 0, &mut run);
+        }
+        run.flush_into(&mut rows);
+        rows
+    })
+}
+
+/// Record what a resolver (and thus the passive-DNS sensor next to it)
+/// observes when resolving `domain`: the CNAME chain and the terminal
+/// address records, each under its own owner name — exactly how DNSDB
+/// stores chains.
+fn observe_resolution<'a>(
+    zones: &'a ZoneDb,
+    domain: &'a DomainName,
+    ctx: &ResolutionContext,
+    depth: usize,
+    table: &mut RrsetAggregator<'a>,
+) {
+    if depth > 4 {
+        return;
+    }
+    for rrtype in [RrType::A, RrType::Aaaa] {
+        for r in zones.answers(domain, rrtype, ctx) {
+            table.observe(domain, r, ctx.time);
+            if let RDataRef::Cname(target) = r {
+                observe_resolution(zones, target, ctx, depth + 1, table);
+                // A CNAME is the whole answer to this query. The alias
+                // answers the A and the AAAA query alike, so an aliased
+                // owner's CNAME is observed, and its target's chain
+                // walked, once per address type.
+                break;
+            }
         }
     }
 }
@@ -1364,6 +1444,44 @@ mod tests {
             .unwrap();
         let hits = w.passive_dns.search(&q, week).count();
         assert!(hits > 50, "azure-devices hits {hits}");
+    }
+
+    #[test]
+    fn one_resolution_walks_an_alias_once_per_address_type() {
+        let d = |s: &str| -> DomainName { s.parse().unwrap() };
+        let (tenant, lb) = (d("tenant.example.com"), d("lb.cloud.example"));
+        let mut zones = ZoneDb::new();
+        zones.set_policy(tenant.clone(), RrType::Cname, Policy::Alias(lb.clone()));
+        zones.set_static(
+            lb,
+            vec![
+                RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+                RData::Aaaa("2001:db8::1".parse().unwrap()),
+            ],
+        );
+        let ctx = ResolutionContext {
+            client_continent: Continent::Europe,
+            time: Date::new(2022, 3, 1).midnight(),
+            resolver_id: 0,
+        };
+        let mut table = RrsetAggregator::new();
+        observe_resolution(&zones, &tenant, &ctx, 0, &mut table);
+        let db = table.into_db();
+        let rows: Vec<(String, String, u64)> = db
+            .entries()
+            .map(|e| (e.owner.to_string(), e.rdata.to_string(), e.count))
+            .collect();
+        // The A query and the AAAA query each meet the alias and walk
+        // its target: the CNAME and both target records count twice.
+        let row = |owner: &str, rdata: &str| (owner.to_string(), rdata.to_string(), 2);
+        assert_eq!(
+            rows,
+            [
+                row("tenant.example.com", "lb.cloud.example."),
+                row("lb.cloud.example", "192.0.2.1"),
+                row("lb.cloud.example", "2001:db8::1"),
+            ]
+        );
     }
 
     #[test]
