@@ -136,7 +136,8 @@ pub fn cert_evidence(certificate: &Certificate, patterns: &ProviderPatterns) -> 
 /// Precompute [`CertEvidence`] for every `(provider, cert)` pair the
 /// match table actually produced, sharded over the pairs. The result is
 /// independent of shard count — each memo is a pure function of one
-/// certificate and one pattern set.
+/// certificate and one pattern set. Each shard batches its VM counters,
+/// so they are recorded once per shard rather than per execution.
 pub fn evidence_memos(
     set: &CertSet,
     table: &MatchTable,
@@ -153,10 +154,14 @@ pub fn evidence_memos(
         }
     }
     let pairs: Vec<(usize, u32)> = pairs.into_iter().collect();
-    let memos = iotmap_par::shard_map(&pairs, |_i, &(p, cert)| {
-        cert_evidence(set.cert(cert), &providers[p])
+    let memos = iotmap_par::shard_chunks(&pairs, |_ctx, chunk| {
+        let _vm_metrics = iotmap_dregex::vm::MetricsBatch::open();
+        chunk
+            .iter()
+            .map(|&(p, cert)| cert_evidence(set.cert(cert), &providers[p]))
+            .collect::<Vec<_>>()
     });
-    pairs.into_iter().zip(memos).collect()
+    pairs.into_iter().zip(memos.into_iter().flatten()).collect()
 }
 
 #[cfg(test)]

@@ -149,7 +149,13 @@ impl SimRng {
     /// Choose an index according to non-negative weights. Panics if all
     /// weights are zero or the slice is empty.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.choose_weighted_with_total(weights, weights.iter().sum())
+    }
+
+    /// [`SimRng::choose_weighted`] with the weights' sum precomputed, for
+    /// a table drawn from many times. Pass `weights.iter().sum()` (summed
+    /// left to right) and every draw is bit-identical to the summing form.
+    pub fn choose_weighted_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(
             total > 0.0,
             "choose_weighted requires positive total weight"
@@ -276,6 +282,19 @@ mod tests {
         let w = [1.0, 3.0];
         let ones = (0..100_000).filter(|_| r.choose_weighted(&w) == 1).count();
         assert!((72_000..78_000).contains(&ones), "ones {ones}");
+    }
+
+    #[test]
+    fn precomputed_total_draws_like_the_summing_form() {
+        let w = [0.25, 0.7, 1.0, 3.0, 2.0, 0.35];
+        let total: f64 = w.iter().sum();
+        let (mut a, mut b) = (SimRng::new(12), SimRng::new(12));
+        for _ in 0..10_000 {
+            assert_eq!(
+                a.choose_weighted(&w),
+                b.choose_weighted_with_total(&w, total)
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::build::World;
 use crate::isp::{Device, ScannerKind, SubscriberLine};
-use crate::providers::DomainStyle;
+use crate::providers::{DomainStyle, ProviderSpec, SiteHosting};
 use crate::server::ServerId;
 use iotmap_dns::{resolve, ResolutionContext, RrType};
 use iotmap_faults::NetflowFaults;
@@ -35,6 +35,68 @@ pub struct TrafficStats {
     pub flows_exported: u64,
     /// Device-days simulated.
     pub device_days: u64,
+    /// Sessions drawn on active device-days (each emits at most one
+    /// down/up record pair).
+    pub sessions: u64,
+}
+
+/// One provider's session draw tables, built once per simulator. They
+/// hold the same floats, in the same order, that every device-day used
+/// to rebuild, and each total is the same left-to-right sum
+/// [`SimRng::choose_weighted`] takes, so every weighted draw is unchanged.
+struct ProviderTables {
+    /// Port-mix weights: the primary-protocol and secondary-channel draws.
+    port_weights: Vec<f64>,
+    port_total: f64,
+    /// Diurnal activity weight per hour of day.
+    hour_weights: [f64; 24],
+    hour_total: f64,
+    /// Per site: hosted in the outage-struck cloud (any region)? Drives
+    /// the cross-region spillover dip.
+    outage_cloud: Vec<bool>,
+}
+
+impl ProviderTables {
+    fn new(spec: &ProviderSpec, outage_cloud: &str) -> Self {
+        let profile = &spec.profile;
+        let port_weights: Vec<f64> = profile.ports.iter().map(|p| p.weight).collect();
+        let hour_weights: [f64; 24] =
+            std::array::from_fn(|h| profile.pattern.hour_weight(h as u32));
+        ProviderTables {
+            port_total: port_weights.iter().sum(),
+            port_weights,
+            hour_total: hour_weights.iter().sum(),
+            hour_weights,
+            outage_cloud: spec
+                .sites
+                .iter()
+                .map(|site| match &site.hosting {
+                    SiteHosting::Cloud { cloud, .. } => *cloud == outage_cloud,
+                    _ => false,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A device's DNS answer for one record type, mapped to server ids and
+/// resolved once per 7-day resolution epoch. Liveness is not memoised:
+/// servers churn mid-epoch, so each day filters the answer afresh.
+struct EpochAnswer {
+    rrtype: RrType,
+    /// First day of the epoch `servers` was resolved for.
+    epoch: Option<i64>,
+    servers: Vec<ServerId>,
+}
+
+impl EpochAnswer {
+    fn new(rrtype: RrType) -> Self {
+        EpochAnswer {
+            rrtype,
+            epoch: None,
+            servers: Vec::new(),
+        }
+    }
 }
 
 /// The simulator.
@@ -47,6 +109,8 @@ pub struct TrafficSimulator<'a> {
     us_pools: Vec<Vec<ServerId>>,
     /// Per-provider undocumented (baked-in address) servers.
     hidden_pools: Vec<Vec<ServerId>>,
+    /// Per-provider session draw tables.
+    tables: Vec<ProviderTables>,
     /// NetFlow export faults applied at the border router.
     netflow_faults: NetflowFaults,
     fault_seed: u64,
@@ -106,11 +170,17 @@ impl<'a> TrafficSimulator<'a> {
         let hidden_pools = (0..world.providers.len())
             .map(|p| world.site_hidden[p].iter().flatten().copied().collect())
             .collect();
+        let tables = world
+            .providers
+            .iter()
+            .map(|spec| ProviderTables::new(spec, &world.events.outage.cloud))
+            .collect();
         TrafficSimulator {
             world,
             service_domain,
             us_pools,
             hidden_pools,
+            tables,
             netflow_faults: NetflowFaults::NONE,
             fault_seed: 0,
         }
@@ -208,6 +278,7 @@ impl<'a> TrafficSimulator<'a> {
                 for (flows, line_stats) in &mut buffers {
                     stats.flows_generated += line_stats.flows_generated;
                     stats.device_days += line_stats.device_days;
+                    stats.sessions += line_stats.sessions;
                     router.route(flows);
                 }
                 lap(&mut layer_ns[1]);
@@ -225,9 +296,11 @@ impl<'a> TrafficSimulator<'a> {
         }
         stats.flows_exported = router.exported;
         // Item counts and per-layer wall time on the pass span, so a
-        // trace shows ns/flow per pass and per layer.
+        // trace shows ns/flow and ns/session per pass and per layer.
         iotmap_obs::annotate!("flows_generated", stats.flows_generated);
         iotmap_obs::annotate!("flows_exported", stats.flows_exported);
+        iotmap_obs::annotate!("device_days", stats.device_days);
+        iotmap_obs::annotate!("sessions", stats.sessions);
         for (key, ns) in ["generate_ns", "route_ns", "fold_ns", "merge_ns"]
             .into_iter()
             .zip(layer_ns)
@@ -309,9 +382,12 @@ impl<'a> TrafficSimulator<'a> {
         stats: &mut TrafficStats,
     ) {
         let world = self.world;
-        let spec = &world.providers[device.provider];
-        let profile = &spec.profile;
+        let profile = &world.providers[device.provider].profile;
+        let tables = &self.tables[device.provider];
         let ev = &world.events.outage;
+        let domain = self.device_domain(device);
+        let mut v4_answer = EpochAnswer::new(RrType::A);
+        let mut v6_answer = EpochAnswer::new(RrType::Aaaa);
         // Whether this device goes silent during an outage (rather than
         // retrying) is a stable property of its firmware.
         let silent_in_outage = rng.chance(ev.silence_prob);
@@ -319,8 +395,9 @@ impl<'a> TrafficSimulator<'a> {
         // between CoAP and AMQP): pick it once, with occasional secondary
         // channels. This is what concentrates §5.6's heavy AMQP volumes on
         // a small line population instead of smearing them over everyone.
-        let affinity_weights: Vec<f64> = profile.ports.iter().map(|p| p.weight).collect();
-        let primary_port = profile.ports[rng.choose_weighted(&affinity_weights)].port;
+        let primary_port = profile.ports
+            [rng.choose_weighted_with_total(&tables.port_weights, tables.port_total)]
+        .port;
 
         for date in period.days() {
             stats.device_days += 1;
@@ -328,30 +405,18 @@ impl<'a> TrafficSimulator<'a> {
             if !rng.chance(0.75) {
                 continue;
             }
+            let Some(domain) = domain else { continue };
             let day = date.epoch_days();
-            let v4_servers = self.servers_for_device(line, device, date, RrType::A);
-            let v6_servers = if device.uses_v6 && line.v6_capable {
-                self.servers_for_device(line, device, date, RrType::Aaaa)
+            let v4_today = self.gateway_today(line, device, domain, day, &mut v4_answer);
+            let v6_today = if device.uses_v6 && line.v6_capable {
+                self.gateway_today(line, device, domain, day, &mut v6_answer)
             } else {
-                Vec::new()
+                None
             };
-            if v4_servers.is_empty() && v6_servers.is_empty() {
+            if v4_today.is_none() && v6_today.is_none() {
                 continue;
             }
-            // Long-lived MQTT connections: a device sticks to one gateway
-            // per resolution epoch (per family) rather than spraying the
-            // answer set.
-            let epoch = (day - day.rem_euclid(7)) as usize;
-            let v4_today: Vec<ServerId> = if v4_servers.is_empty() {
-                Vec::new()
-            } else {
-                vec![v4_servers[(line.id as usize ^ epoch) % v4_servers.len()]]
-            };
-            let v6_today: Vec<ServerId> = if v6_servers.is_empty() {
-                Vec::new()
-            } else {
-                vec![v6_servers[(line.id as usize ^ epoch) % v6_servers.len()]]
-            };
+            let midnight = date.midnight();
 
             // Daily volume budget.
             let heavy = device.heavy;
@@ -367,14 +432,13 @@ impl<'a> TrafficSimulator<'a> {
             let up_total = dn_total / profile.down_up_ratio * rng.f64_range(0.8, 1.25);
 
             let sessions = dist::poisson(rng, profile.sessions_per_day).max(1);
-            let port_weights: Vec<f64> = profile.ports.iter().map(|p| p.weight).collect();
-            let hour_weights: Vec<f64> = (0..24).map(|h| profile.pattern.hour_weight(h)).collect();
+            stats.sessions += sessions;
 
             for s in 0..sessions {
-                let hour = rng.choose_weighted(&hour_weights) as u64;
-                let time = date.midnight()
-                    + SimDuration::hours(hour)
-                    + SimDuration::seconds(rng.gen_below(3600));
+                let hour =
+                    rng.choose_weighted_with_total(&tables.hour_weights, tables.hour_total) as u64;
+                let time =
+                    midnight + SimDuration::hours(hour) + SimDuration::seconds(rng.gen_below(3600));
 
                 // Port: heavy devices put most bytes on the heavy port;
                 // everyone else mostly sticks to their primary protocol.
@@ -383,12 +447,14 @@ impl<'a> TrafficSimulator<'a> {
                 } else if rng.chance(0.92) {
                     primary_port
                 } else {
-                    profile.ports[rng.choose_weighted(&port_weights)].port
+                    profile.ports
+                        [rng.choose_weighted_with_total(&tables.port_weights, tables.port_total)]
+                    .port
                 };
 
                 // Server: occasionally the weekly US sync or a baked-in
                 // undocumented gateway; normally today's DNS answer.
-                let server_id = self.pick_server(line, device, day, s, &v4_today, &v6_today, rng);
+                let server_id = self.pick_server(line, device, day, s, v4_today, v6_today, rng);
                 let Some(server_id) = server_id else { continue };
                 let server = &world.servers[server_id];
 
@@ -399,7 +465,7 @@ impl<'a> TrafficSimulator<'a> {
                 match ev.session_scaling(
                     time,
                     affected.contains(&server_id),
-                    self.same_cloud_as_outage(server.provider, server.site),
+                    self.tables[server.provider].outage_cloud[server.site],
                     silent_in_outage,
                 ) {
                     None => continue,
@@ -422,8 +488,8 @@ impl<'a> TrafficSimulator<'a> {
         device: &Device,
         day: i64,
         session: u64,
-        v4: &[ServerId],
-        v6: &[ServerId],
+        v4: Option<ServerId>,
+        v6: Option<ServerId>,
         rng: &mut SimRng,
     ) -> Option<ServerId> {
         let world = self.world;
@@ -452,56 +518,73 @@ impl<'a> TrafficSimulator<'a> {
                 return Some(pick);
             }
         }
-        // IPv6 when available, ~25% of sessions.
-        if !v6.is_empty() && rng.chance(0.25) {
-            return Some(*rng.choose(v6));
+        // IPv6 when available, ~25% of sessions. Each family's answer is
+        // one gateway; the uniform draw over it still takes an RNG word,
+        // and every later draw of the session depends on that.
+        if let Some(v6) = v6 {
+            if rng.chance(0.25) {
+                return Some(*rng.choose(&[v6]));
+            }
         }
-        if v4.is_empty() {
-            return None;
-        }
-        Some(*rng.choose(v4))
+        v4.map(|v4| *rng.choose(&[v4]))
     }
 
-    /// Today's DNS answer for a device, mapped to live server ids.
-    fn servers_for_device(
+    /// Today's gateway for one address family. Long-lived MQTT
+    /// connections: a device sticks to one gateway per resolution epoch
+    /// rather than spraying the answer set — the `(line.id ^ epoch) %
+    /// n`-th of the answer's `n` live servers. With none live, an A
+    /// lookup falls back to the first three live documented gateways at
+    /// the device's home site.
+    fn gateway_today(
         &self,
         line: &SubscriberLine,
         device: &Device,
-        date: Date,
-        rrtype: RrType,
-    ) -> Vec<ServerId> {
+        domain: &DomainName,
+        day: i64,
+        answer: &mut EpochAnswer,
+    ) -> Option<ServerId> {
         let world = self.world;
-        let domain = self.device_domain(device);
-        let Some(domain) = domain else {
-            return Vec::new();
-        };
         // DNS caching / connection reuse: devices hold long-lived MQTT
         // sessions and re-resolve roughly weekly — this keeps a
         // household's weekly contact set small (the paper argues 10
         // backend IPs per line is plausible, not typical).
-        let day = date.epoch_days();
-        let cached_day = day - day.rem_euclid(7);
-        let ctx = ResolutionContext {
-            client_continent: Continent::Europe,
-            time: Date::from_epoch_days(cached_day).midnight() + SimDuration::hours(6),
-            resolver_id: line.id % 97,
-        };
-        let mut out: Vec<ServerId> = resolve(&world.zones, domain, rrtype, &ctx)
-            .into_iter()
-            .filter_map(|ip| world.server_by_ip.get(&ip).copied())
-            .filter(|&sid| world.servers[sid].alive_on(day))
-            .collect();
-        if out.is_empty() && rrtype == RrType::A {
-            // Stale DNS / dead pool: fall back to any live documented
-            // gateway at the device's home site.
-            out = world.site_pools[device.provider][device.home_site]
+        let epoch = day - day.rem_euclid(7);
+        if answer.epoch != Some(epoch) {
+            let ctx = ResolutionContext {
+                client_continent: Continent::Europe,
+                time: Date::from_epoch_days(epoch).midnight() + SimDuration::hours(6),
+                resolver_id: line.id % 97,
+            };
+            answer.servers.clear();
+            answer.servers.extend(
+                resolve(&world.zones, domain, answer.rrtype, &ctx)
+                    .into_iter()
+                    .filter_map(|ip| world.server_by_ip.get(&ip).copied()),
+            );
+            answer.epoch = Some(epoch);
+        }
+        let alive = |sid: &ServerId| world.servers[*sid].alive_on(day);
+        let key = line.id as usize ^ epoch as usize;
+        let live = answer.servers.iter().copied().filter(alive).count();
+        if live > 0 {
+            return answer.servers.iter().copied().filter(alive).nth(key % live);
+        }
+        if answer.rrtype != RrType::A {
+            return None;
+        }
+        // Stale DNS / dead pool: fall back to any live documented
+        // gateway at the device's home site.
+        let fallback = || {
+            world.site_pools[device.provider][device.home_site]
                 .iter()
                 .copied()
-                .filter(|&sid| world.servers[sid].alive_on(day))
+                .filter(alive)
                 .take(3)
-                .collect();
+        };
+        match fallback().count() {
+            0 => None,
+            live => fallback().nth(key % live),
         }
-        out
     }
 
     /// The FQDN a device connects to.
@@ -514,16 +597,6 @@ impl<'a> TrafficSimulator<'a> {
         }
         self.service_domain
             .get(&(device.provider, device.home_site))
-    }
-
-    /// Is `(provider, site)` hosted in the outage-struck cloud (any
-    /// region)? Used for the cross-region spillover dip.
-    fn same_cloud_as_outage(&self, provider: usize, site: usize) -> bool {
-        use crate::providers::SiteHosting;
-        matches!(
-            &self.world.providers[provider].sites[site].hosting,
-            SiteHosting::Cloud { cloud, .. } if *cloud == self.world.events.outage.cloud
-        )
     }
 
     /// Scanner lines: probe flows to broad swaths of the address space.
@@ -628,6 +701,86 @@ mod tests {
 
     fn world() -> World {
         World::generate(&WorldConfig::small(42))
+    }
+
+    /// The per-day reference for the epoch memo: resolve the epoch's
+    /// answer, map it to server ids and keep today's live ones; with none
+    /// live, an A lookup falls back to the home site's first three live
+    /// documented gateways.
+    fn servers_for_device(
+        sim: &TrafficSimulator,
+        line: &SubscriberLine,
+        device: &Device,
+        date: Date,
+        rrtype: RrType,
+    ) -> Vec<ServerId> {
+        let world = sim.world;
+        let Some(domain) = sim.device_domain(device) else {
+            return Vec::new();
+        };
+        let day = date.epoch_days();
+        let cached_day = day - day.rem_euclid(7);
+        let ctx = ResolutionContext {
+            client_continent: Continent::Europe,
+            time: Date::from_epoch_days(cached_day).midnight() + SimDuration::hours(6),
+            resolver_id: line.id % 97,
+        };
+        let mut out: Vec<ServerId> = resolve(&world.zones, domain, rrtype, &ctx)
+            .into_iter()
+            .filter_map(|ip| world.server_by_ip.get(&ip).copied())
+            .filter(|&sid| world.servers[sid].alive_on(day))
+            .collect();
+        if out.is_empty() && rrtype == RrType::A {
+            out = world.site_pools[device.provider][device.home_site]
+                .iter()
+                .copied()
+                .filter(|&sid| world.servers[sid].alive_on(day))
+                .take(3)
+                .collect();
+        }
+        out
+    }
+
+    /// The memoised gateway equals the per-day reference's
+    /// `(line.id ^ epoch) % len`-th server on every device-day of both
+    /// study weeks, for both record types. Both weeks cross an epoch
+    /// boundary, and some answered servers die mid-epoch: the test counts
+    /// both kinds of device-day and requires some of each.
+    #[test]
+    fn epoch_memo_picks_the_per_day_reference_gateway() {
+        let w = world();
+        let sim = TrafficSimulator::new(&w);
+        let (mut refreshed, mut died) = (0u64, 0u64);
+        for period in [StudyPeriod::main_week(), StudyPeriod::outage_week()] {
+            for line in &w.isp.lines {
+                for device in &line.devices {
+                    let Some(domain) = sim.device_domain(device) else {
+                        continue;
+                    };
+                    for rrtype in [RrType::A, RrType::Aaaa] {
+                        let mut answer = EpochAnswer::new(rrtype);
+                        for date in period.days() {
+                            let day = date.epoch_days();
+                            let epoch = day - day.rem_euclid(7);
+                            let previous = answer.epoch;
+                            let got = sim.gateway_today(line, device, domain, day, &mut answer);
+                            let reference = servers_for_device(&sim, line, device, date, rrtype);
+                            let want = (!reference.is_empty()).then(|| {
+                                reference[(line.id as usize ^ epoch as usize) % reference.len()]
+                            });
+                            assert_eq!(got, want, "line {} {rrtype:?} {date:?}", line.id);
+                            refreshed += previous.is_some_and(|p| p != epoch) as u64;
+                            died += answer.servers.iter().any(|&sid| {
+                                let server = &w.servers[sid];
+                                server.alive_on(epoch) && !server.alive_on(day)
+                            }) as u64;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refreshed > 0, "no device-day crossed an epoch boundary");
+        assert!(died > 0, "no answered server died mid-epoch");
     }
 
     #[test]

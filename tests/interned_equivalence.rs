@@ -88,7 +88,7 @@ fn find_span<'a>(
 /// The folds count their flows in the partials and flush once per pass,
 /// so the metrics must be the per-flow values — independent of how the
 /// stream was sharded — and the flow-generation span must carry the
-/// pass's flow counts and its per-layer times.
+/// pass's flow, device-day and session counts and its per-layer times.
 #[test]
 fn fold_metrics_are_per_flow_values_at_any_thread_count() {
     let artifacts = Pipeline::new(WorldConfig::small(42))
@@ -162,11 +162,32 @@ fn fold_metrics_are_per_flow_values_at_any_thread_count() {
                 Some(report.counters["netflow.flows_generated"] / 2),
                 "{pass}"
             );
+            assert_eq!(
+                flows.meta_value("device_days"),
+                Some(report.counters["world.device_days"] / 2),
+                "{pass}"
+            );
+            assert!(
+                flows.meta_value("sessions").is_some_and(|s| s > 0),
+                "{pass}"
+            );
             // Per-layer wall time, summed over the pass's blocks.
             for layer in ["generate_ns", "route_ns", "fold_ns", "merge_ns"] {
                 let ns = flows.meta_value(layer);
                 assert!(ns.is_some_and(|ns| ns > 0), "{pass}: {layer} = {ns:?}");
             }
+        }
+    }
+    // Device-days and sessions are per-pass counts, not per-shard ones.
+    for pass in ["traffic.contact_pass", "traffic.analysis_pass"] {
+        let meta = |report: &RunReport, key| {
+            let span = find_span(&report.spans, pass).expect("pass span");
+            find_span(&span.children, "netflow.flow_generation")
+                .expect(pass)
+                .meta_value(key)
+        };
+        for key in ["device_days", "sessions"] {
+            assert_eq!(meta(&serial, key), meta(&sharded, key), "{pass}: {key}");
         }
     }
     // Buckets, count, sum, min and max all agree across thread counts.
