@@ -4,15 +4,14 @@
 //! World-building, discovery, footprints, and the traffic passes all live
 //! behind [`iotmap::Pipeline`]; this crate wraps its [`RunArtifacts`] with
 //! the experiment-only extras (anonymized labels) and the tiny
-//! dependency-free CLI parser. See `src/bin/exp.rs` for the experiment
-//! entry point.
+//! dependency-free CLI parser. See `src/bin/exp/main.rs` for the
+//! experiment entry point and its table of experiments.
 
 pub mod record;
 
 pub use iotmap::{Pipeline, RunArtifacts, SCANNER_THRESHOLD};
 
 use iotmap_faults::FaultPlan;
-use iotmap_nettypes::Error;
 use iotmap_traffic::Anonymization;
 use iotmap_world::WorldConfig;
 use std::ops::Deref;
@@ -35,73 +34,29 @@ impl Deref for Experiment {
 }
 
 impl Experiment {
-    /// Build everything for a configuration, panicking on invalid built-in
-    /// patterns (which would be a bug, not an input error). This is the
-    /// §3 + §4 part of the study (discovery, validation, footprints);
-    /// traffic passes are separate because only some experiments need
-    /// them, each over its own study period.
+    /// Build everything for a configuration, panicking on a pipeline
+    /// failure (a bug by construction for tests and doc examples). This
+    /// is the §3 + §4 part of the study (discovery, validation,
+    /// footprints); traffic passes are separate because only some
+    /// experiments need them, each over its own study period. Runs on the
+    /// calling thread's `iotmap_par` budget.
     ///
-    /// Binaries should reach for [`Experiment::try_prepare`] instead and
-    /// exit 1 with the error message (the `exp` contract for stage
-    /// failures); this panicking form is for tests and doc examples where
-    /// a preparation failure is a bug by construction.
+    /// Binaries build the [`Pipeline`] with [`CliOptions::pipeline`] and
+    /// wrap its artifacts with [`Experiment::new`], exiting 1 on failure.
     pub fn prepare(config: &WorldConfig) -> Experiment {
-        Self::try_prepare(config).unwrap_or_else(|e| panic!("experiment preparation failed: {e}"))
-    }
-
-    /// [`Experiment::prepare`] under a fault plan: every synthetic data
-    /// source suffers the plan's seeded faults and the methodology
-    /// degrades gracefully ([`FaultPlan::none`] is byte-identical to
-    /// [`Experiment::prepare`]). Panics on failure — binaries should use
-    /// [`Experiment::try_prepare_with_faults`] and exit 1 instead.
-    pub fn prepare_with_faults(config: &WorldConfig, faults: FaultPlan) -> Experiment {
-        Self::try_prepare_with_faults(config, faults)
-            .unwrap_or_else(|e| panic!("experiment preparation failed: {e}"))
-    }
-
-    /// [`Experiment::prepare`], but surfacing pipeline errors. Runs on
-    /// the calling thread's current `iotmap_par` budget (the `exp` binary
-    /// sets it from `--threads` before preparing).
-    pub fn try_prepare(config: &WorldConfig) -> Result<Experiment, Error> {
-        Self::try_prepare_with_faults(config, FaultPlan::none())
-    }
-
-    /// [`Experiment::prepare_with_faults`], surfacing pipeline errors.
-    pub fn try_prepare_with_faults(
-        config: &WorldConfig,
-        faults: FaultPlan,
-    ) -> Result<Experiment, Error> {
-        Self::try_prepare_opts(config, faults, None, None, None)
-    }
-
-    /// The full fallible constructor: faults plus optional checkpointing
-    /// and the memoized world cache. `resume` wins over `checkpoints` when
-    /// both are given (a resumed run re-checkpoints into the same
-    /// directory anyway); see [`Pipeline::cache`] for how the cache
-    /// composes with both.
-    pub fn try_prepare_opts(
-        config: &WorldConfig,
-        faults: FaultPlan,
-        checkpoints: Option<&str>,
-        resume: Option<&str>,
-        cache: Option<&str>,
-    ) -> Result<Experiment, Error> {
-        let mut pipeline = Pipeline::new(config.clone())
+        let artifacts = Pipeline::new(config.clone())
             .threads(iotmap_par::threads())
-            .faults(faults);
-        if let Some(dir) = resume {
-            pipeline = pipeline.resume(dir);
-        } else if let Some(dir) = checkpoints {
-            pipeline = pipeline.checkpoints(dir);
-        }
-        if let Some(dir) = cache {
-            pipeline = pipeline.cache(dir);
-        }
-        let artifacts = pipeline.run()?;
-        Ok(Experiment {
+            .run()
+            .unwrap_or_else(|e| panic!("experiment preparation failed: {e}"));
+        Experiment::new(artifacts)
+    }
+
+    /// Wrap a finished run with the paper's anonymization scheme.
+    pub fn new(artifacts: RunArtifacts) -> Experiment {
+        Experiment {
             artifacts,
             anonymization: Anonymization::paper(),
-        })
+        }
     }
 
     /// Anonymized label for a provider name.
@@ -173,148 +128,88 @@ impl CliOptions {
     /// Parse from `std::env::args`. Usage:
     /// `exp <experiment|all> [--seed N] [--preset small|medium|paper]`.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
-        let mut seed = 42u64;
-        let mut preset = "paper".to_string();
+        let mut o = CliOptions {
+            seed: 42,
+            preset: "paper".to_string(),
+            experiment: String::new(),
+            out_dir: None,
+            trace: false,
+            metrics: None,
+            trace_out: None,
+            gate: false,
+            top: 15,
+            smoke: false,
+            days: 7,
+            scale: 1,
+            history: None,
+            threads: std::env::var("IOTMAP_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(1),
+            faults: "none".to_string(),
+            checkpoints: None,
+            resume: None,
+            cache: std::env::var("IOTMAP_CACHE")
+                .ok()
+                .filter(|v| !v.trim().is_empty()),
+            file: None,
+            matrix: None,
+        };
+        fn number<T: std::str::FromStr>(v: String, what: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            v.parse().map_err(|e| format!("bad {what}: {e}"))
+        }
         let mut experiment = None;
-        let mut out_dir = None;
-        let mut trace = false;
-        let mut metrics = None;
-        let mut trace_out = None;
-        let mut gate = false;
-        let mut top = 15usize;
-        let mut smoke = false;
-        let mut days = 7usize;
-        let mut scale = 1u64;
-        let mut history = None;
         // Mode-specific flags actually given, for the post-parse check
         // that they match the selected experiment.
-        let mut mode_flags: Vec<&'static str> = Vec::new();
-        let mut threads = std::env::var("IOTMAP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1usize);
-        let mut faults = "none".to_string();
-        let mut checkpoints = None;
-        let mut resume = None;
-        let mut cache = std::env::var("IOTMAP_CACHE")
-            .ok()
-            .filter(|v| !v.trim().is_empty());
-        let mut file = None;
-        let mut matrix = None;
+        let mut mode_flags: Vec<(&str, &[&str])> = Vec::new();
         let mut it = args.skip(1);
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--seed" => {
-                    seed = it
-                        .next()
-                        .ok_or("--seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?;
-                }
-                "--preset" => {
-                    preset = it.next().ok_or("--preset needs a value")?;
-                }
-                "--out" => {
-                    out_dir = Some(it.next().ok_or("--out needs a directory")?);
-                }
-                "--trace" => {
-                    trace = true;
-                }
-                "--metrics" => {
-                    metrics = Some(it.next().ok_or("--metrics needs a file path")?);
-                }
-                "--trace-out" => {
-                    trace_out = Some(it.next().ok_or("--trace-out needs a file path")?);
-                }
-                "--gate" => {
-                    gate = true;
-                    mode_flags.push("--gate");
-                }
-                "--top" => {
-                    top = it
-                        .next()
-                        .ok_or("--top needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad top count: {e}"))?;
-                    mode_flags.push("--top");
-                }
-                "--smoke" => {
-                    smoke = true;
-                    mode_flags.push("--smoke");
-                }
-                "--days" => {
-                    days = it
-                        .next()
-                        .ok_or("--days needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad day count: {e}"))?;
-                    if days == 0 {
-                        return Err("--days must be at least 1".to_string());
-                    }
-                    mode_flags.push("--days");
-                }
-                "--scale" => {
-                    scale = it
-                        .next()
-                        .ok_or("--scale needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad scale factor: {e}"))?;
-                    if scale == 0 {
-                        return Err("--scale must be at least 1".to_string());
-                    }
-                    mode_flags.push("--scale");
-                }
-                "--history" => {
-                    history = Some(it.next().ok_or("--history needs a file path")?);
-                    mode_flags.push("--history");
-                }
-                "--threads" => {
-                    threads = it
-                        .next()
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad thread count: {e}"))?;
-                }
-                "--faults" => {
-                    faults = it.next().ok_or("--faults needs a value")?;
-                }
-                "--checkpoints" => {
-                    checkpoints = Some(it.next().ok_or("--checkpoints needs a directory")?);
-                }
-                "--resume" => {
-                    resume = Some(it.next().ok_or("--resume needs a directory")?);
-                }
-                "--cache" => {
-                    cache = Some(it.next().ok_or("--cache needs a directory")?);
-                }
-                "--file" => {
-                    file = Some(it.next().ok_or("--file needs a scenario file path")?);
-                    mode_flags.push("--file");
-                }
-                "--matrix" => {
-                    matrix = Some(it.next().ok_or("--matrix needs a directory")?);
-                    mode_flags.push("--matrix");
-                }
+            let flag = arg.as_str();
+            let mut value = |what: &str| it.next().ok_or_else(|| format!("{flag} needs {what}"));
+            match flag {
+                "--seed" => o.seed = number(value("a value")?, "seed")?,
+                "--preset" => o.preset = value("a value")?,
+                "--out" => o.out_dir = Some(value("a directory")?),
+                "--trace" => o.trace = true,
+                "--metrics" => o.metrics = Some(value("a file path")?),
+                "--trace-out" => o.trace_out = Some(value("a file path")?),
+                "--gate" => o.gate = true,
+                "--top" => o.top = number(value("a value")?, "top count")?,
+                "--smoke" => o.smoke = true,
+                "--days" => o.days = number(value("a value")?, "day count")?,
+                "--scale" => o.scale = number(value("a value")?, "scale factor")?,
+                "--history" => o.history = Some(value("a file path")?),
+                "--threads" => o.threads = number(value("a value")?, "thread count")?,
+                "--faults" => o.faults = value("a value")?,
+                "--checkpoints" => o.checkpoints = Some(value("a directory")?),
+                "--resume" => o.resume = Some(value("a directory")?),
+                "--cache" => o.cache = Some(value("a directory")?),
+                "--file" => o.file = Some(value("a scenario file path")?),
+                "--matrix" => o.matrix = Some(value("a directory")?),
                 "--help" | "-h" => return Err(usage()),
                 other if experiment.is_none() && !other.starts_with('-') => {
                     experiment = Some(other.to_string());
                 }
                 other => return Err(format!("unknown argument {other:?}\n{}", usage())),
             }
+            if let Some(&mode_flag) = MODE_FLAGS.iter().find(|(f, _)| *f == flag) {
+                mode_flags.push(mode_flag);
+            }
         }
-        let experiment = experiment.ok_or_else(usage)?;
+        o.experiment = experiment.ok_or_else(usage)?;
+        for (flag, zero) in [("--days", o.days == 0), ("--scale", o.scale == 0)] {
+            if zero {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
+        let experiment = o.experiment.as_str();
         // Mode-specific flags are rejected — not silently ignored — when
         // the selected experiment cannot honour them.
-        for flag in mode_flags {
-            let allowed: &[&str] = match flag {
-                "--gate" | "--history" => &["bench", "longitudinal"],
-                "--top" | "--smoke" => &["profile"],
-                "--days" => &["longitudinal"],
-                "--scale" => &["bench"],
-                "--file" | "--matrix" => &["scenario"],
-                _ => unreachable!("unlisted mode flag {flag}"),
-            };
-            if !allowed.contains(&experiment.as_str()) {
+        for (flag, allowed) in mode_flags {
+            if !allowed.contains(&experiment) {
                 return Err(format!(
                     "{flag} is only valid for the {} experiment{}, not {experiment:?}\n{}",
                     allowed.join("/"),
@@ -323,28 +218,46 @@ impl CliOptions {
                 ));
             }
         }
-        Ok(CliOptions {
-            seed,
-            preset,
-            experiment,
-            out_dir,
-            trace,
-            metrics,
-            trace_out,
-            gate,
-            top,
-            smoke,
-            days,
-            scale,
-            history,
-            threads,
-            faults,
-            checkpoints,
-            resume,
-            cache,
-            file,
-            matrix,
-        })
+        // The modes that build their own pipelines take no checkpoint
+        // directory, and the two that never install a recorder take no
+        // observability output.
+        const OWN_PIPELINES: &[&str] = &["bench", "crash-recovery", "longitudinal", "scenario"];
+        const UNRECORDED: &[&str] = &["crash-recovery", "longitudinal"];
+        let unsupported = [
+            ("--checkpoints", o.checkpoints.is_some(), OWN_PIPELINES),
+            ("--resume", o.resume.is_some(), OWN_PIPELINES),
+            ("--trace", o.trace, UNRECORDED),
+            ("--metrics", o.metrics.is_some(), UNRECORDED),
+            ("--trace-out", o.trace_out.is_some(), UNRECORDED),
+        ];
+        for (flag, given, modes) in unsupported {
+            if given && modes.contains(&experiment) {
+                return Err(format!(
+                    "{flag} is not supported by the {experiment:?} experiment\n{}",
+                    usage()
+                ));
+            }
+        }
+        Ok(o)
+    }
+
+    /// Whether `--trace`, `--metrics` or `--trace-out` asked for a
+    /// recorder over the run.
+    pub fn instrumented(&self) -> bool {
+        self.trace || self.metrics.is_some() || self.trace_out.is_some()
+    }
+
+    /// The pipeline these options run: `config` under `faults`, on
+    /// `--threads` workers, with the `--cache` world cache. Callers add
+    /// checkpoints, resume or a scenario.
+    pub fn pipeline(&self, config: &WorldConfig, faults: FaultPlan) -> Pipeline {
+        let pipeline = Pipeline::new(config.clone())
+            .threads(self.threads)
+            .faults(faults);
+        match &self.cache {
+            Some(dir) => pipeline.cache(dir),
+            None => pipeline,
+        }
     }
 
     /// The world configuration the options select.
@@ -373,6 +286,18 @@ impl CliOptions {
         FaultPlan::parse_config(&text).map_err(|e| format!("--faults {:?}: {e}", self.faults))
     }
 }
+
+/// The mode-specific flags and the experiments that honour them.
+const MODE_FLAGS: &[(&str, &[&str])] = &[
+    ("--gate", &["bench", "longitudinal"]),
+    ("--history", &["bench", "longitudinal"]),
+    ("--top", &["profile"]),
+    ("--smoke", &["profile"]),
+    ("--days", &["longitudinal"]),
+    ("--scale", &["bench"]),
+    ("--file", &["scenario"]),
+    ("--matrix", &["scenario"]),
+];
 
 fn usage() -> String {
     "usage: exp <experiment|all> [--seed N] [--preset small|medium|paper] [--out DIR]\n\
@@ -604,6 +529,47 @@ mod tests {
                 .map(|s| s.to_string())
         )
         .is_ok());
+    }
+
+    #[test]
+    fn cli_rejects_flags_a_mode_cannot_honour() {
+        // Modes that build their own pipelines write no checkpoints, and
+        // crash-recovery and longitudinal install no recorder.
+        let cases: &[&[&str]] = &[
+            &["exp", "bench", "--checkpoints", "d"],
+            &["exp", "bench", "--resume", "d"],
+            &["exp", "crash-recovery", "--checkpoints", "d"],
+            &["exp", "longitudinal", "--checkpoints", "d"],
+            &["exp", "longitudinal", "--resume", "d"],
+            &["exp", "scenario", "--resume", "d"],
+            &["exp", "crash-recovery", "--trace"],
+            &["exp", "crash-recovery", "--metrics", "m.jsonl"],
+            &["exp", "longitudinal", "--metrics", "m.jsonl"],
+            &["exp", "longitudinal", "--trace-out", "t.json"],
+        ];
+        for case in cases {
+            let err = CliOptions::parse(case.iter().map(|s| s.to_string()))
+                .err()
+                .unwrap_or_else(|| panic!("{case:?} must be rejected"));
+            assert!(
+                err.contains(case[2]) && err.contains(case[1]),
+                "{case:?}: error must name the flag and the experiment, got: {err}"
+            );
+        }
+
+        // The same flags stay valid where they are honoured.
+        let accepted: &[&[&str]] = &[
+            &["exp", "table1", "--checkpoints", "d"],
+            &["exp", "profile", "--resume", "d"],
+            &["exp", "bench", "--metrics", "m.jsonl", "--trace"],
+            &["exp", "scenario", "--trace-out", "t.json"],
+        ];
+        for case in accepted {
+            assert!(
+                CliOptions::parse(case.iter().map(|s| s.to_string())).is_ok(),
+                "{case:?} must be accepted"
+            );
+        }
     }
 
     #[test]

@@ -65,6 +65,51 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--matrix"));
 
+    // Flags a mode cannot honour are rejected before anything runs: the
+    // modes that build their own pipelines take no checkpoint directory,
+    // and crash-recovery and longitudinal write no trace or metrics.
+    let dir = scratch("mode-flags");
+    let ckpt = dir.join("ckpt");
+    let metrics = dir.join("m.jsonl");
+    let (ckpt, metrics) = (ckpt.display(), metrics.display());
+    for (args, flag) in [
+        (
+            format!(
+                "longitudinal --preset small --days 1 --checkpoints {ckpt} --metrics {metrics}"
+            ),
+            "--checkpoints",
+        ),
+        (
+            format!("longitudinal --preset small --days 1 --metrics {metrics}"),
+            "--metrics",
+        ),
+        (
+            format!("bench --preset small --checkpoints {ckpt} --metrics {metrics}"),
+            "--checkpoints",
+        ),
+        (format!("bench --resume {ckpt}"), "--resume"),
+        (
+            format!("scenario --file x.scn --checkpoints {ckpt}"),
+            "--checkpoints",
+        ),
+        (format!("crash-recovery --resume {ckpt}"), "--resume"),
+        ("crash-recovery --trace".to_string(), "--trace"),
+        (
+            format!("crash-recovery --trace-out {metrics}"),
+            "--trace-out",
+        ),
+    ] {
+        let out = exp().args(args.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args}: {stderr}");
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "a rejected run wrote nothing"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
     // The scenario experiment needs a source of scenarios, the file must
     // parse, and a matrix directory must contain at least one *.scn.
     let out = exp().arg("scenario").output().unwrap();

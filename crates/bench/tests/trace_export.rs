@@ -5,7 +5,7 @@
 //! never change the pipeline's outputs.
 
 use iotmap_bench::Experiment;
-use iotmap_obs::{Registry, SpanNode};
+use iotmap_obs::Registry;
 use iotmap_world::WorldConfig;
 use std::rc::Rc;
 
@@ -17,23 +17,15 @@ fn traced_prepare(config: &WorldConfig) -> (Experiment, iotmap_obs::RunReport) {
     (exp, registry.report())
 }
 
-fn find_span<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
-    for n in nodes {
-        if n.name == name {
-            return Some(n);
-        }
-        if let Some(found) = find_span(&n.children, name) {
-            return Some(found);
-        }
-    }
-    None
-}
-
 #[test]
 fn prepare_span_tree_matches_golden_shape() {
     let (exp, report) = traced_prepare(&WorldConfig::small(42));
-    let prepare = find_span(&report.spans, "experiment.prepare").expect("prepare span");
-    let execute = find_span(&report.spans, "experiment.execute").expect("execute span");
+    let prepare = report
+        .find_span("experiment.prepare")
+        .expect("prepare span");
+    let execute = report
+        .find_span("experiment.execute")
+        .expect("execute span");
 
     // The two phases' direct children ARE the `prepare_stages_ms`
     // breakdown — pin them exactly so a refactor cannot silently drop a
@@ -57,7 +49,9 @@ fn prepare_span_tree_matches_golden_shape() {
     );
 
     // World generation's phase breakdown, pinned the same way.
-    let world = find_span(&prepare.children, "world.generate").expect("world.generate span");
+    let world = prepare
+        .find_span("world.generate")
+        .expect("world.generate span");
     let phases: Vec<&str> = world.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(
         phases,
@@ -76,7 +70,9 @@ fn prepare_span_tree_matches_golden_shape() {
 
     // Passive-DNS synthesis: its three passes, each with its item count,
     // and the table's counts on the phase span.
-    let pdns = find_span(&world.children, "world.passive_dns").expect("passive_dns span");
+    let pdns = world
+        .find_span("world.passive_dns")
+        .expect("passive_dns span");
     let passes: Vec<&str> = pdns.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(
         passes,
@@ -101,7 +97,9 @@ fn prepare_span_tree_matches_golden_shape() {
     assert_eq!(index.meta_value("entries"), Some(entries));
 
     // Scan synthesis carries its two named campaigns.
-    let collect = find_span(&prepare.children, "world.collect_scan_data").expect("collect span");
+    let collect = prepare
+        .find_span("world.collect_scan_data")
+        .expect("collect span");
     let campaigns: Vec<&str> = collect.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(campaigns, ["world.censys_sweeps", "world.zgrab_campaign"]);
 
@@ -121,7 +119,9 @@ fn prepare_span_tree_matches_golden_shape() {
 fn prepare_stage_times_sum_to_prepare_time() {
     let (_exp, report) = traced_prepare(&WorldConfig::small(42));
     for phase in ["experiment.prepare", "experiment.execute"] {
-        let span = find_span(&report.spans, phase).unwrap_or_else(|| panic!("{phase} span"));
+        let span = report
+            .find_span(phase)
+            .unwrap_or_else(|| panic!("{phase} span"));
         let children: u64 = span.children.iter().map(|c| c.nanos).sum();
         assert!(
             children <= span.nanos,

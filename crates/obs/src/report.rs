@@ -32,6 +32,21 @@ impl SpanNode {
     pub fn meta_value(&self, key: &str) -> Option<u64> {
         self.meta.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
+
+    /// The first descendant span named `name`, depth-first.
+    pub fn find_span(&self, name: &str) -> Option<&SpanNode> {
+        find_in(&self.children, name)
+    }
+}
+
+/// Depth-first search of a span forest: a node before its children,
+/// children before the next sibling.
+fn find_in<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
+    nodes.iter().find_map(|n| {
+        (n.name == name)
+            .then_some(n)
+            .or_else(|| find_in(&n.children, name))
+    })
 }
 
 /// Everything one instrumented run recorded.
@@ -190,6 +205,11 @@ impl RecoverySummary {
 }
 
 impl RunReport {
+    /// The first span named `name`, depth-first over the root spans.
+    pub fn find_span(&self, name: &str) -> Option<&SpanNode> {
+        find_in(&self.spans, name)
+    }
+
     /// The recovery summary, derived from the `super.*` and
     /// `par.shard*` counters the supervisor and the shard executor
     /// emit.
@@ -684,6 +704,33 @@ mod tests {
         r.register_histogram("bytes", &[10, 100]);
         r.observe("bytes", 55);
         r.report()
+    }
+
+    #[test]
+    fn find_span_returns_the_first_match_depth_first() {
+        let r = Registry::new();
+        let a = r.span_enter("a");
+        let first = r.span_enter("x");
+        r.span_exit(first, 1);
+        r.span_exit(a, 10);
+        let b = r.span_enter("b");
+        let second = r.span_enter("x");
+        let inner = r.span_enter("y");
+        r.span_exit(inner, 1);
+        r.span_exit(second, 2);
+        r.span_exit(b, 20);
+        let report = r.report();
+
+        // `a`'s child comes before the later root `b`'s.
+        assert_eq!(report.find_span("x").map(|s| s.nanos), Some(1));
+        assert_eq!(report.find_span("b").map(|s| s.nanos), Some(20));
+        assert_eq!(report.find_span("y").map(|s| s.nanos), Some(1));
+        assert!(report.find_span("z").is_none());
+        // A node's own lookup covers its descendants only.
+        let b = report.find_span("b").unwrap();
+        assert_eq!(b.find_span("x").map(|s| s.nanos), Some(2));
+        assert!(b.find_span("b").is_none());
+        assert!(report.find_span("a").unwrap().find_span("y").is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() {
 
     // Traffic passes over the outage week.
     println!("simulating the outage week …");
-    let (report, _excluded) = artifacts.full_traffic_analysis(period);
+    let (_, _, report) = artifacts.full_traffic_analysis(period);
 
     // T1 = the platform of the affected cloud (Amazon IoT).
     let window = StudyPeriod::aws_outage_window();

@@ -46,7 +46,7 @@
 //! }
 //! // Traffic passes ride on the prepared artifacts (§5).
 //! let period = artifacts.world.config.study_period;
-//! let (report, excluded) = artifacts.full_traffic_analysis(period);
+//! let (_contacts, excluded, report) = artifacts.full_traffic_analysis(period);
 //! println!("{} scanner lines excluded", excluded.len());
 //! # let _ = report;
 //! ```
@@ -917,7 +917,7 @@ pub struct RunArtifacts {
 impl RunArtifacts {
     /// A traffic simulator over the prepared world, carrying the run's
     /// NetFlow fault plan (a no-fault plan yields the plain simulator).
-    fn simulator(&self) -> TrafficSimulator<'_> {
+    pub fn simulator(&self) -> TrafficSimulator<'_> {
         TrafficSimulator::with_faults(&self.world, self.faults.seed, self.faults.netflow.clone())
     }
 
@@ -970,11 +970,7 @@ impl RunArtifacts {
     ///
     /// Runs as a streaming fold like [`contact_pass`](RunArtifacts::contact_pass).
     pub fn analysis_pass(&self, period: StudyPeriod, excluded: &HashSet<LineId>) -> AnalysisReport {
-        let _span = iotmap_obs::span!("traffic.analysis_pass");
-        let sim = self.simulator();
-        let fold = AnalysisFold::new(&self.index, excluded, period);
-        let (partial, _) = sim.run_fold(period, &fold);
-        fold.into_report(partial)
+        self.analysis_fold("traffic.analysis_pass", period, 1, excluded)
     }
 
     /// The analysis pass over a **replicated** subscriber population:
@@ -990,18 +986,36 @@ impl RunArtifacts {
         replicas: u64,
         excluded: &HashSet<LineId>,
     ) -> AnalysisReport {
-        let _span = iotmap_obs::span!("traffic.scaled_analysis_pass");
-        let sim = self.simulator();
+        self.analysis_fold("traffic.scaled_analysis_pass", period, replicas, excluded)
+    }
+
+    /// The body of both analysis passes, under the caller's span name.
+    fn analysis_fold(
+        &self,
+        span: &str,
+        period: StudyPeriod,
+        replicas: u64,
+        excluded: &HashSet<LineId>,
+    ) -> AnalysisReport {
+        let _span = iotmap_obs::span!(span);
         let fold = AnalysisFold::new(&self.index, excluded, period);
-        let (partial, _) = sim.run_replicated_fold(period, replicas, &fold);
+        let (partial, _) = self
+            .simulator()
+            .run_replicated_fold(period, replicas, &fold);
         fold.into_report(partial)
     }
 
-    /// Convenience: contact pass → exclusion → analysis pass.
-    pub fn full_traffic_analysis(&self, period: StudyPeriod) -> (AnalysisReport, HashSet<LineId>) {
+    /// The §5 sequence over one period: contact pass → scanner exclusion
+    /// → analysis pass. Returns all three results; the contacts feed the
+    /// scanner-threshold and visibility figures.
+    pub fn full_traffic_analysis(
+        &self,
+        period: StudyPeriod,
+    ) -> (Contacts, HashSet<LineId>, AnalysisReport) {
         let contacts = self.contact_pass(period);
         let excluded = self.excluded_lines(&contacts);
-        (self.analysis_pass(period, &excluded), excluded)
+        let report = self.analysis_pass(period, &excluded);
+        (contacts, excluded, report)
     }
 }
 

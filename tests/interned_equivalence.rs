@@ -74,17 +74,6 @@ fn traffic_folds_match_the_serial_sinks() {
     );
 }
 
-fn find_span<'a>(
-    nodes: &'a [iotmap_obs::SpanNode],
-    name: &str,
-) -> Option<&'a iotmap_obs::SpanNode> {
-    nodes.iter().find_map(|n| {
-        (n.name == name)
-            .then_some(n)
-            .or_else(|| find_span(&n.children, name))
-    })
-}
-
 /// The folds count their flows in the partials and flush once per pass,
 /// so the metrics must be the per-flow values — independent of how the
 /// stream was sharded — and the flow-generation span must carry the
@@ -150,8 +139,8 @@ fn fold_metrics_are_per_flow_values_at_any_thread_count() {
         // One flow-generation span per pass, annotated with its counts.
         let exported = report.counters["netflow.flows_exported"];
         for pass in ["traffic.contact_pass", "traffic.analysis_pass"] {
-            let span = find_span(&report.spans, pass).expect("pass span");
-            let flows = find_span(&span.children, "netflow.flow_generation").expect(pass);
+            let span = report.find_span(pass).expect("pass span");
+            let flows = span.find_span("netflow.flow_generation").expect(pass);
             assert_eq!(
                 flows.meta_value("flows_exported"),
                 Some(exported / 2),
@@ -181,8 +170,8 @@ fn fold_metrics_are_per_flow_values_at_any_thread_count() {
     // Device-days and sessions are per-pass counts, not per-shard ones.
     for pass in ["traffic.contact_pass", "traffic.analysis_pass"] {
         let meta = |report: &RunReport, key| {
-            let span = find_span(&report.spans, pass).expect("pass span");
-            find_span(&span.children, "netflow.flow_generation")
+            let span = report.find_span(pass).expect("pass span");
+            span.find_span("netflow.flow_generation")
                 .expect(pass)
                 .meta_value(key)
         };
