@@ -326,3 +326,23 @@ fn emit_observability(opts: &CliOptions, report: &iotmap_obs::RunReport) {
         eprintln!("# wrote Chrome trace to {}", path.display());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage text lists exactly the experiments of [`EXPERIMENTS`],
+    /// in table order, so a new experiment cannot land in one list and
+    /// not the other.
+    #[test]
+    fn usage_lists_every_experiment() {
+        let Err(usage) = CliOptions::parse(["exp", "--help"].map(String::from).into_iter()) else {
+            panic!("--help prints the usage");
+        };
+        let (_, listed) = usage
+            .split_once("experiments:")
+            .expect("the usage lists the experiments");
+        let table: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(listed.split_whitespace().collect::<Vec<_>>(), table);
+    }
+}

@@ -149,9 +149,8 @@ impl CliOptions {
             faults: "none".to_string(),
             checkpoints: None,
             resume: None,
-            cache: std::env::var("IOTMAP_CACHE")
-                .ok()
-                .filter(|v| !v.trim().is_empty()),
+            cache: iotmap::cache_dir_from_env(std::env::var_os("IOTMAP_CACHE"))
+                .and_then(|dir| dir.into_os_string().into_string().ok()),
             file: None,
             matrix: None,
         };
@@ -305,10 +304,11 @@ fn usage() -> String {
      \x20          [--faults none|light|heavy|FILE] [--checkpoints DIR] [--resume DIR]\n\
      \x20          [--cache DIR] [--history FILE] [--gate] [--top N] [--smoke] [--days N]\n\
      \x20          [--scale N] [--file SCENARIO.scn] [--matrix DIR]\n\
-     experiments: table1 fig3 fig4 fig5..fig16 vantage validation shared \
-     diversity ports-observed consistency sec62-bgp sec62-blocklist \
-     outage-deps cascade monitor ablation-coverage ablation-hitlist robustness \
-     bench crash-recovery profile longitudinal scenario"
+     experiments: table1 fig3 fig4 vantage validation shared diversity ports-observed\n\
+     \x20          consistency fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12a fig12b fig12c\n\
+     \x20          fig13 fig14 fig15 fig16 outage-deps sec62-bgp sec62-blocklist cascade\n\
+     \x20          monitor ablation-coverage ablation-hitlist robustness bench\n\
+     \x20          crash-recovery profile longitudinal scenario"
         .to_string()
 }
 

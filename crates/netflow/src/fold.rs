@@ -1,12 +1,12 @@
 //! Mergeable flow aggregation — the one way to consume exported NetFlow.
 //!
 //! A [`FlowFold`] consumes the exported flow stream in **mergeable
-//! partials**, so the simulator can shard each block's per-line buffers
-//! of exported records (routed in place by the border router) across
-//! workers and combine the per-shard accumulators in shard order. The
-//! full flow set is never materialized: peak memory is one block of
-//! per-line flow buffers plus the aggregate state (DESIGN.md decision
-//! #4).
+//! partials**, so the simulator can shard the subscriber lines across
+//! workers — each folds its lines' exported records (routed in place by
+//! the border router) into its own accumulator — and combine the
+//! per-shard accumulators in shard order. The full flow set is never
+//! materialized: peak memory is one line buffer per worker plus the
+//! aggregate state (DESIGN.md decision #4).
 //!
 //! Determinism contract (same as `iotmap_par::shard_fold`):
 //! `merge(a, b)` must equal "continue folding b's records into a" for

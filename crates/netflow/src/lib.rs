@@ -21,5 +21,5 @@ pub mod sampler;
 pub use anonymize::Anonymizer;
 pub use fold::{CountingFold, FlowFold, FlowTotals, StoringSink};
 pub use record::{Direction, FlowRecord, LineId};
-pub use router::BorderRouter;
+pub use router::{BorderRouter, RouteTally};
 pub use sampler::PacketSampler;

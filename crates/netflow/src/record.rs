@@ -61,6 +61,19 @@ impl FlowRecord {
     pub fn epoch_day(&self) -> i64 {
         self.time.epoch_days()
     }
+
+    /// A stable identity of the flow: its start time, line, remote,
+    /// service port and direction. The router's per-flow decisions (the
+    /// sampler's draws and the export-drop roll) are keyed on it, so a
+    /// flow meets the same fate whatever buffer, order or thread routes
+    /// it.
+    pub(crate) fn key(&self) -> u64 {
+        iotmap_faults::key3(
+            iotmap_faults::key2(self.time.unix(), self.line.0),
+            iotmap_faults::key_ip(self.remote),
+            iotmap_faults::key2(self.port.port as u64, self.direction as u64),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -12,17 +12,23 @@ use crate::record::FlowRecord;
 use iotmap_nettypes::SimRng;
 
 /// A deterministic 1:N packet sampler.
+///
+/// The sampler holds no stream: each flow's draws come from a generator
+/// seeded by the sampler's seed and the flow's own identity (time, line,
+/// remote, port, direction), so a flow samples the same way in any
+/// buffer, order or thread.
 #[derive(Debug)]
 pub struct PacketSampler {
     rate: u64,
-    rng: SimRng,
+    seed: u64,
 }
 
 impl PacketSampler {
-    /// Sampling rate 1:`rate`. `rate == 1` disables sampling.
-    pub fn new(rate: u64, rng: SimRng) -> Self {
+    /// Sampling rate 1:`rate`, with per-flow draws salted by `seed`.
+    /// `rate == 1` disables sampling.
+    pub fn new(rate: u64, seed: u64) -> Self {
         assert!(rate >= 1, "sampling rate must be at least 1:1");
-        PacketSampler { rate, rng }
+        PacketSampler { rate, seed }
     }
 
     /// The configured rate.
@@ -32,22 +38,22 @@ impl PacketSampler {
 
     /// Sample a true flow. Returns the **estimated** flow (counters scaled
     /// back by the rate) if at least one packet was sampled, else `None`.
-    pub fn sample(&mut self, true_flow: &FlowRecord) -> Option<FlowRecord> {
+    /// At rate 1 every flow passes unchanged and nothing is drawn.
+    pub fn sample(&self, true_flow: &FlowRecord) -> Option<FlowRecord> {
         if self.rate == 1 {
             return Some(*true_flow);
         }
+        let mut rng = SimRng::new(iotmap_faults::key2(self.seed, true_flow.key()));
         let p = 1.0 / self.rate as f64;
         // Number of sampled packets ~ Binomial(packets, 1/N); approximate
         // cheaply: each packet sampled independently, but avoid a loop for
         // huge flows by using the normal approximation above a threshold.
         let sampled = if true_flow.packets <= 64 {
-            (0..true_flow.packets)
-                .filter(|_| self.rng.chance(p))
-                .count() as u64
+            (0..true_flow.packets).filter(|_| rng.chance(p)).count() as u64
         } else {
             let mean = true_flow.packets as f64 * p;
             let sd = (true_flow.packets as f64 * p * (1.0 - p)).sqrt();
-            let x = iotmap_nettypes::dist::normal_with(&mut self.rng, mean, sd);
+            let x = iotmap_nettypes::dist::normal_with(&mut rng, mean, sd);
             x.round().clamp(0.0, true_flow.packets as f64) as u64
         };
         if sampled == 0 {
@@ -66,11 +72,17 @@ impl PacketSampler {
 mod tests {
     use super::*;
     use crate::record::{Direction, LineId};
-    use iotmap_nettypes::{Date, PortProto};
+    use iotmap_nettypes::{Date, PortProto, SimDuration};
 
     fn flow(bytes: u64, packets: u64) -> FlowRecord {
+        nth_flow(0, bytes, packets)
+    }
+
+    /// The `i`-th of a run of otherwise-equal flows, one second apart:
+    /// distinct keys, so independent draws.
+    fn nth_flow(i: u64, bytes: u64, packets: u64) -> FlowRecord {
         FlowRecord {
-            time: Date::new(2022, 3, 1).midnight(),
+            time: Date::new(2022, 3, 1).midnight() + SimDuration::seconds(i),
             line: LineId(1),
             remote: "192.0.2.1".parse().unwrap(),
             port: PortProto::tcp(443),
@@ -82,16 +94,16 @@ mod tests {
 
     #[test]
     fn rate_one_is_identity() {
-        let mut s = PacketSampler::new(1, SimRng::new(1));
+        let s = PacketSampler::new(1, 1);
         let f = flow(1234, 7);
         assert_eq!(s.sample(&f), Some(f));
     }
 
     #[test]
     fn tiny_flows_often_missed() {
-        let mut s = PacketSampler::new(1000, SimRng::new(2));
+        let s = PacketSampler::new(1000, 2);
         let missed = (0..1000)
-            .filter(|_| s.sample(&flow(100, 1)).is_none())
+            .filter(|&i| s.sample(&nth_flow(i, 100, 1)).is_none())
             .count();
         // P(missed) = 1 - 1/1000 → expect ~999.
         assert!(missed > 980, "missed {missed}");
@@ -99,11 +111,11 @@ mod tests {
 
     #[test]
     fn large_flows_always_observed_with_accurate_estimates() {
-        let mut s = PacketSampler::new(100, SimRng::new(3));
-        let f = flow(150_000_000, 100_000); // 100k packets, 1500 B each
+        let s = PacketSampler::new(100, 3);
         let mut total = 0.0;
         let n = 200;
-        for _ in 0..n {
+        for i in 0..n {
+            let f = nth_flow(i, 150_000_000, 100_000); // 100k packets, 1500 B each
             let est = s.sample(&f).expect("must be observed");
             total += est.bytes as f64;
         }
@@ -117,12 +129,11 @@ mod tests {
 
     #[test]
     fn estimator_is_unbiased_for_small_flows() {
-        let mut s = PacketSampler::new(10, SimRng::new(4));
-        let f = flow(10_000, 20);
+        let s = PacketSampler::new(10, 4);
         let n = 20_000;
         let mut total = 0.0;
-        for _ in 0..n {
-            if let Some(est) = s.sample(&f) {
+        for i in 0..n {
+            if let Some(est) = s.sample(&nth_flow(i, 10_000, 20)) {
                 total += est.bytes as f64;
             }
         }

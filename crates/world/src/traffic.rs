@@ -16,15 +16,13 @@ use crate::providers::{DomainStyle, ProviderSpec, SiteHosting};
 use crate::server::ServerId;
 use iotmap_dns::{resolve, ResolutionContext, RrType};
 use iotmap_faults::NetflowFaults;
-use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, LineId, StoringSink};
+use iotmap_netflow::{
+    BorderRouter, Direction, FlowFold, FlowRecord, LineId, RouteTally, StoringSink,
+};
 use iotmap_nettypes::{dist, Continent, Date, DomainName, SimDuration, SimRng, StudyPeriod};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::time::Instant;
-
-/// Lines per generation block: bounds buffered flows regardless of
-/// population size.
-const BLOCK_LINES: usize = 2048;
 
 /// Summary counters from one simulation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -38,6 +36,61 @@ pub struct TrafficStats {
     /// Sessions drawn on active device-days (each emits at most one
     /// down/up record pair).
     pub sessions: u64,
+}
+
+impl std::ops::AddAssign for TrafficStats {
+    fn add_assign(&mut self, other: TrafficStats) {
+        self.flows_generated += other.flows_generated;
+        self.flows_exported += other.flows_exported;
+        self.device_days += other.device_days;
+        self.sessions += other.sessions;
+    }
+}
+
+/// One worker's share of a pass: its fold partial, the line buffer it
+/// reuses for every line it simulates, its counters, and its time per
+/// layer (generate, route, fold, merge).
+struct LinePass<P> {
+    partial: P,
+    flows: Vec<FlowRecord>,
+    stats: TrafficStats,
+    tally: RouteTally,
+    layer_ns: [u64; 4],
+    /// End of the last timed layer.
+    last: Instant,
+}
+
+impl<P> LinePass<P> {
+    fn new(partial: P) -> Self {
+        LinePass {
+            partial,
+            flows: Vec::new(),
+            stats: TrafficStats::default(),
+            tally: RouteTally::default(),
+            layer_ns: [0; 4],
+            last: Instant::now(),
+        }
+    }
+
+    /// Charge the time since the last lap to `layer`.
+    fn lap(&mut self, layer: usize) {
+        let now = Instant::now();
+        self.layer_ns[layer] += now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+    }
+
+    /// Merge a later share of the pass into this one, charging the merge
+    /// to the merge layer.
+    fn absorb<F: FlowFold<Partial = P>>(&mut self, other: LinePass<P>, fold: &F) {
+        let start = Instant::now();
+        fold.merge(&mut self.partial, other.partial);
+        self.stats += other.stats;
+        self.tally += other.tally;
+        for (mine, theirs) in self.layer_ns.iter_mut().zip(other.layer_ns) {
+            *mine += theirs;
+        }
+        self.layer_ns[3] += start.elapsed().as_nanos() as u64;
+    }
 }
 
 /// One provider's session draw tables, built once per simulator. They
@@ -118,9 +171,9 @@ pub struct TrafficSimulator<'a> {
 
 impl<'a> TrafficSimulator<'a> {
     /// Simulator whose border router applies a NetFlow export-fault
-    /// plan. The faults act strictly after packet sampling, so the
-    /// sampler's RNG stream — and every flow that survives — is
-    /// identical to the unfaulted simulator's.
+    /// plan. The faults act strictly after packet sampling, so every
+    /// flow that survives them is identical to the unfaulted
+    /// simulator's.
     pub fn with_faults(world: &'a World, fault_seed: u64, faults: NetflowFaults) -> Self {
         let mut sim = Self::new(world);
         sim.netflow_faults = faults;
@@ -196,11 +249,11 @@ impl<'a> TrafficSimulator<'a> {
     }
 
     /// Simulate a period, streaming exported flows through a mergeable
-    /// [`FlowFold`]. Peak memory is one block of exported records plus
-    /// the aggregate state — the full flow set is never materialized.
-    /// Each block's exports are folded in per-shard partials merged in
-    /// shard order, so the result is byte-identical to folding the whole
-    /// export sequence serially, at any thread count.
+    /// [`FlowFold`]. Peak memory is one line's flows per worker plus the
+    /// aggregate state — the full flow set is never materialized. Lines
+    /// fold into per-shard partials merged in shard order, so the result
+    /// is byte-identical to folding the whole export sequence serially,
+    /// at any thread count.
     pub fn run_fold<F>(&self, period: StudyPeriod, fold: &F) -> (F::Partial, TrafficStats)
     where
         F: FlowFold + Sync,
@@ -212,12 +265,18 @@ impl<'a> TrafficSimulator<'a> {
     /// replicated `replicas` times — the scale harness for ISP runs far
     /// beyond the world's materialized line count.
     ///
-    /// Replica `r` re-derives every line with id `line.id + r * n`
+    /// Replica `r` simulates every line under id `line.id + r * n`
     /// (forking fresh RNG streams, so replicas produce distinct
     /// households, not copies) and the border router anonymizes over the
     /// full `replicas * n` line space. Scanner lines are only simulated
     /// in replica 0: the scanner *population* is a property of the
     /// world's config, not of the scale factor.
+    ///
+    /// Each replica is one [`iotmap_par::shard_fold`] over the lines: a
+    /// worker generates one line's flows into its reused buffer, routes
+    /// the buffer in place and folds it while it is still in cache. The
+    /// router decides each flow on the flow alone, so routing in the
+    /// workers exports what a serial router would.
     pub fn run_replicated_fold<F>(
         &self,
         period: StudyPeriod,
@@ -232,86 +291,66 @@ impl<'a> TrafficSimulator<'a> {
         let world = self.world;
         let n = world.isp.lines.len() as u64;
         let rng = SimRng::new(world.config.seed).fork("traffic");
-        let mut router = BorderRouter::with_faults(
+        let router = BorderRouter::with_faults(
             world.config.sampling_rate,
             replicas * n - 1,
             world.config.seed ^ 0x0150_cafe,
-            rng.fork("router"),
+            rng.fork("router").next_u64(),
             self.fault_seed,
             self.netflow_faults.clone(),
         );
         let affected = self.affected_servers(period);
 
-        let mut stats = TrafficStats::default();
-        let mut acc = fold.make();
         let flow_span = iotmap_obs::span!("netflow.flow_generation");
-        // Wall time per layer, summed over blocks: generate, route,
-        // fold, merge.
-        let mut layer_ns = [0u64; 4];
-        let mut lap = {
-            let mut last = Instant::now();
-            move |layer: &mut u64| {
-                let now = Instant::now();
-                *layer += now.duration_since(last).as_nanos() as u64;
-                last = now;
-            }
-        };
+        let mut pass = LinePass::new(fold.make());
         for rep in 0..replicas {
-            for block in world.isp.lines.chunks(BLOCK_LINES) {
-                let replica_block: Vec<SubscriberLine>;
-                let block: &[SubscriberLine] = if rep == 0 {
-                    block
-                } else {
-                    replica_block = block
-                        .iter()
-                        .map(|l| {
-                            let mut l = l.clone();
-                            l.id += rep * n;
-                            l.scanner = None;
-                            l
-                        })
-                        .collect();
-                    &replica_block
-                };
-                let mut buffers = self.block_flows(block, period, &affected, &rng);
-                lap(&mut layer_ns[0]);
-                for (flows, line_stats) in &mut buffers {
-                    stats.flows_generated += line_stats.flows_generated;
-                    stats.device_days += line_stats.device_days;
-                    stats.sessions += line_stats.sessions;
-                    router.route(flows);
-                }
-                lap(&mut layer_ns[1]);
-                let partial = iotmap_par::shard_fold(
-                    &buffers,
-                    |_| fold.make(),
-                    |acc, _i, (flows, _)| flows.iter().for_each(|r| fold.fold(acc, r)),
-                    |a, b| fold.merge(a, b),
-                );
-                drop(buffers);
-                lap(&mut layer_ns[2]);
-                fold.merge(&mut acc, partial);
-                lap(&mut layer_ns[3]);
-            }
+            let replica = iotmap_par::shard_fold(
+                &world.isp.lines,
+                |_| LinePass::new(fold.make()),
+                |w, _, line| {
+                    w.flows.clear();
+                    let scanner = line.scanner.filter(|_| rep == 0);
+                    self.line_flows(
+                        line,
+                        line.id + rep * n,
+                        scanner,
+                        period,
+                        &affected,
+                        &rng,
+                        &mut w.flows,
+                        &mut w.stats,
+                    );
+                    w.lap(0);
+                    router.route(&mut w.flows, &mut w.tally);
+                    w.lap(1);
+                    w.flows.iter().for_each(|r| fold.fold(&mut w.partial, r));
+                    w.lap(2);
+                },
+                |a, b| a.absorb(b, fold),
+            );
+            pass.absorb(replica, fold);
         }
-        stats.flows_exported = router.exported;
-        // Item counts and per-layer wall time on the pass span, so a
-        // trace shows ns/flow and ns/session per pass and per layer.
+        let stats = TrafficStats {
+            flows_exported: pass.tally.exported,
+            ..pass.stats
+        };
+        // Item counts and per-layer time on the pass span, so a trace
+        // shows ns/flow and ns/session per pass and per layer.
         iotmap_obs::annotate!("flows_generated", stats.flows_generated);
         iotmap_obs::annotate!("flows_exported", stats.flows_exported);
         iotmap_obs::annotate!("device_days", stats.device_days);
         iotmap_obs::annotate!("sessions", stats.sessions);
         for (key, ns) in ["generate_ns", "route_ns", "fold_ns", "merge_ns"]
             .into_iter()
-            .zip(layer_ns)
+            .zip(pass.layer_ns)
         {
             iotmap_obs::annotate!(key, ns);
         }
         drop(flow_span);
-        router.flush_metrics();
+        router.flush_metrics(&pass.tally);
         iotmap_obs::count!("netflow.flows_generated", stats.flows_generated);
         iotmap_obs::count!("world.device_days", stats.device_days);
-        (acc, stats)
+        (pass.partial, stats)
     }
 
     /// Outage-affected servers, when the period overlaps the event.
@@ -323,57 +362,48 @@ impl<'a> TrafficSimulator<'a> {
         }
     }
 
-    /// Generate one block's true flows in parallel, one buffer per line.
-    ///
-    /// Flow generation is pure per line (every line forks its RNG by id),
-    /// so lines shard freely; only the border router is a shared,
-    /// order-sensitive stage (its sampler RNG advances per record). Each
-    /// block's buffers are then routed in place, serially in line order —
-    /// the router consumes the exact record sequence of a serial loop, so
-    /// exports stay byte-identical at any thread count while buffering
-    /// stays bounded.
-    fn block_flows(
+    /// One line's true flows over the period, appended to `out`: the
+    /// scanner's probes when `scanner` is set, then every device's
+    /// sessions. `id` is the line's id in the simulated population (its
+    /// replica's), and seeds the line's RNG fork, so generation is pure
+    /// per line and lines shard freely.
+    #[allow(clippy::too_many_arguments)]
+    fn line_flows(
         &self,
-        block: &[SubscriberLine],
+        line: &SubscriberLine,
+        id: u64,
+        scanner: Option<ScannerKind>,
         period: StudyPeriod,
         affected: &HashSet<ServerId>,
         rng: &SimRng,
-    ) -> Vec<(Vec<FlowRecord>, TrafficStats)> {
-        iotmap_par::shard_map(block, |_i, line| {
-            let mut line_rng = rng.fork_idx(line.id);
-            let mut flows = Vec::new();
-            let mut line_stats = TrafficStats::default();
-            if let Some(kind) = line.scanner {
-                self.run_scanner(
-                    line,
-                    kind,
-                    period,
-                    &mut line_rng,
-                    &mut flows,
-                    &mut line_stats,
-                );
-            }
-            for (di, device) in line.devices.iter().enumerate() {
-                let mut dev_rng = line_rng.fork_idx(di as u64 + 1);
-                self.run_device(
-                    line,
-                    device,
-                    period,
-                    affected,
-                    &mut dev_rng,
-                    &mut flows,
-                    &mut line_stats,
-                );
-            }
-            (flows, line_stats)
-        })
+        out: &mut Vec<FlowRecord>,
+        stats: &mut TrafficStats,
+    ) {
+        let mut line_rng = rng.fork_idx(id);
+        if let Some(kind) = scanner {
+            self.run_scanner(id, kind, period, &mut line_rng, out, stats);
+        }
+        for (di, device) in line.devices.iter().enumerate() {
+            let mut dev_rng = line_rng.fork_idx(di as u64 + 1);
+            self.run_device(
+                id,
+                line.v6_capable,
+                device,
+                period,
+                affected,
+                &mut dev_rng,
+                out,
+                stats,
+            );
+        }
     }
 
     /// One device over the whole period, appending its true flows to `out`.
     #[allow(clippy::too_many_arguments)]
     fn run_device(
         &self,
-        line: &SubscriberLine,
+        line_id: u64,
+        v6_capable: bool,
         device: &Device,
         period: StudyPeriod,
         affected: &HashSet<ServerId>,
@@ -407,9 +437,9 @@ impl<'a> TrafficSimulator<'a> {
             }
             let Some(domain) = domain else { continue };
             let day = date.epoch_days();
-            let v4_today = self.gateway_today(line, device, domain, day, &mut v4_answer);
-            let v6_today = if device.uses_v6 && line.v6_capable {
-                self.gateway_today(line, device, domain, day, &mut v6_answer)
+            let v4_today = self.gateway_today(line_id, device, domain, day, &mut v4_answer);
+            let v6_today = if device.uses_v6 && v6_capable {
+                self.gateway_today(line_id, device, domain, day, &mut v6_answer)
             } else {
                 None
             };
@@ -454,7 +484,7 @@ impl<'a> TrafficSimulator<'a> {
 
                 // Server: occasionally the weekly US sync or a baked-in
                 // undocumented gateway; normally today's DNS answer.
-                let server_id = self.pick_server(line, device, day, s, v4_today, v6_today, rng);
+                let server_id = self.pick_server(line_id, device, day, s, v4_today, v6_today, rng);
                 let Some(server_id) = server_id else { continue };
                 let server = &world.servers[server_id];
 
@@ -475,7 +505,7 @@ impl<'a> TrafficSimulator<'a> {
                     }
                 }
 
-                self.emit_pair(line, server.ip, port, time, dn, up, out, stats);
+                self.emit_pair(line_id, server.ip, port, time, dn, up, out, stats);
             }
         }
     }
@@ -484,7 +514,7 @@ impl<'a> TrafficSimulator<'a> {
     #[allow(clippy::too_many_arguments)]
     fn pick_server(
         &self,
-        line: &SubscriberLine,
+        line_id: u64,
         device: &Device,
         day: i64,
         session: u64,
@@ -496,11 +526,11 @@ impl<'a> TrafficSimulator<'a> {
         // Weekly secondary sync with a US aggregation endpoint.
         if device.secondary_us
             && session == 0
-            && (day as u64 + line.id).is_multiple_of(7)
+            && (day as u64 + line_id).is_multiple_of(7)
             && !self.us_pools[device.provider].is_empty()
         {
             let pool = &self.us_pools[device.provider];
-            let pick = pool[((line.id ^ day as u64) % pool.len() as u64) as usize];
+            let pick = pool[((line_id ^ day as u64) % pool.len() as u64) as usize];
             if world.servers[pick].alive_on(day) {
                 return Some(pick);
             }
@@ -509,11 +539,11 @@ impl<'a> TrafficSimulator<'a> {
         // line carries hardcoded addresses, so just a handful of hidden
         // gateways ever see ISP traffic — the paper's "missed 4 IPs".
         if !self.hidden_pools[device.provider].is_empty()
-            && line.id.is_multiple_of(977)
+            && line_id.is_multiple_of(977)
             && rng.chance(0.3)
         {
             let pool = &self.hidden_pools[device.provider];
-            let pick = pool[(line.id % pool.len() as u64) as usize];
+            let pick = pool[(line_id % pool.len() as u64) as usize];
             if world.servers[pick].alive_on(day) {
                 return Some(pick);
             }
@@ -531,13 +561,13 @@ impl<'a> TrafficSimulator<'a> {
 
     /// Today's gateway for one address family. Long-lived MQTT
     /// connections: a device sticks to one gateway per resolution epoch
-    /// rather than spraying the answer set — the `(line.id ^ epoch) %
+    /// rather than spraying the answer set — the `(line_id ^ epoch) %
     /// n`-th of the answer's `n` live servers. With none live, an A
     /// lookup falls back to the first three live documented gateways at
     /// the device's home site.
     fn gateway_today(
         &self,
-        line: &SubscriberLine,
+        line_id: u64,
         device: &Device,
         domain: &DomainName,
         day: i64,
@@ -553,7 +583,7 @@ impl<'a> TrafficSimulator<'a> {
             let ctx = ResolutionContext {
                 client_continent: Continent::Europe,
                 time: Date::from_epoch_days(epoch).midnight() + SimDuration::hours(6),
-                resolver_id: line.id % 97,
+                resolver_id: line_id % 97,
             };
             answer.servers.clear();
             answer.servers.extend(
@@ -564,7 +594,7 @@ impl<'a> TrafficSimulator<'a> {
             answer.epoch = Some(epoch);
         }
         let alive = |sid: &ServerId| world.servers[*sid].alive_on(day);
-        let key = line.id as usize ^ epoch as usize;
+        let key = line_id as usize ^ epoch as usize;
         let live = answer.servers.iter().copied().filter(alive).count();
         if live > 0 {
             return answer.servers.iter().copied().filter(alive).nth(key % live);
@@ -603,7 +633,7 @@ impl<'a> TrafficSimulator<'a> {
     #[allow(clippy::too_many_arguments)]
     fn run_scanner(
         &self,
-        line: &SubscriberLine,
+        line_id: u64,
         kind: ScannerKind,
         period: StudyPeriod,
         rng: &mut SimRng,
@@ -621,7 +651,7 @@ impl<'a> TrafficSimulator<'a> {
                     ScannerKind::Full => true,
                     ScannerKind::Partial(f) => {
                         // A stable pseudo-random subset of the space.
-                        let h = (line.id ^ (server.id as u64).wrapping_mul(0x9E37_79B9))
+                        let h = (line_id ^ (server.id as u64).wrapping_mul(0x9E37_79B9))
                             .wrapping_mul(0x2545_F491_4F6C_DD1D);
                         (h >> 40) as f64 / (1u64 << 24) as f64 % 1.0 < f
                     }
@@ -634,7 +664,7 @@ impl<'a> TrafficSimulator<'a> {
                 // A probe: one small upstream packet, sometimes answered.
                 let up = FlowRecord {
                     time,
-                    line: LineId(line.id),
+                    line: LineId(line_id),
                     remote: server.ip,
                     port,
                     direction: Direction::Upstream,
@@ -662,7 +692,7 @@ impl<'a> TrafficSimulator<'a> {
     #[allow(clippy::too_many_arguments)]
     fn emit_pair(
         &self,
-        line: &SubscriberLine,
+        line_id: u64,
         remote: IpAddr,
         port: iotmap_nettypes::PortProto,
         time: iotmap_nettypes::SimTime,
@@ -675,7 +705,7 @@ impl<'a> TrafficSimulator<'a> {
         let up_bytes = up_bytes.max(200.0) as u64;
         let dn = FlowRecord {
             time,
-            line: LineId(line.id),
+            line: LineId(line_id),
             remote,
             port,
             direction: Direction::Downstream,
@@ -763,7 +793,7 @@ mod tests {
                             let day = date.epoch_days();
                             let epoch = day - day.rem_euclid(7);
                             let previous = answer.epoch;
-                            let got = sim.gateway_today(line, device, domain, day, &mut answer);
+                            let got = sim.gateway_today(line.id, device, domain, day, &mut answer);
                             let reference = servers_for_device(&sim, line, device, date, rrtype);
                             let want = (!reference.is_empty()).then(|| {
                                 reference[(line.id as usize ^ epoch as usize) % reference.len()]

@@ -92,7 +92,7 @@ assert "shared-ip" in json.load(open(sys.argv[1]))["prepare_stages_ms"]
 PY
 
 # The CI scale-smoke gate, condensed: the --scale phase must stream the
-# replicated ISP pass block by block — the binary itself enforces the
+# replicated ISP pass line by line — the binary itself enforces the
 # documented peak-RSS ceiling and the history gate; the greps re-assert
 # that a real (non-zero) RSS reading, the replicated ISP lines and the
 # ISP pass's contact / exclusion / analysis split landed in the report.

@@ -98,6 +98,15 @@ use std::path::{Path, PathBuf};
 /// The scanner-exclusion threshold the paper settles on (§5.2).
 pub const SCANNER_THRESHOLD: usize = 100;
 
+/// The world cache directory named by a raw `IOTMAP_CACHE` value (pass
+/// `std::env::var_os("IOTMAP_CACHE")`). Unset, empty and blank all mean
+/// "no cache": an empty value must not make the working directory the
+/// cache.
+pub fn cache_dir_from_env(raw: Option<std::ffi::OsString>) -> Option<PathBuf> {
+    raw.filter(|v| v.to_str().is_none_or(|v| !v.trim().is_empty()))
+        .map(PathBuf::from)
+}
+
 /// The pipeline front door: configure once, run every prepared stage.
 ///
 /// `Pipeline` wires the §3 + §4 part of the study — world generation,
@@ -159,7 +168,7 @@ impl Pipeline {
             policy: StagePolicy::default(),
             checkpoint_dir: None,
             resume: false,
-            cache_dir: std::env::var_os("IOTMAP_CACHE").map(PathBuf::from),
+            cache_dir: cache_dir_from_env(std::env::var_os("IOTMAP_CACHE")),
             with_scenario: None,
             threads_env_unparsable,
         }
@@ -974,12 +983,13 @@ impl RunArtifacts {
     }
 
     /// The analysis pass over a **replicated** subscriber population:
-    /// replica `r` clones every line with `id += r × n` (scanners
-    /// dropped from clones so exclusion stays a base-population
-    /// concept), and the flows stream through the fold block by block —
-    /// the §5 analysis at `replicas ×` the world's line count without
-    /// ever materializing the scaled flow set. `replicas == 1` is
-    /// byte-identical to [`analysis_pass`](RunArtifacts::analysis_pass).
+    /// replica `r` simulates every line under id `line.id + r × n`
+    /// (scanner roles in replica 0 only, so exclusion stays a
+    /// base-population concept), and the flows stream through the fold
+    /// line by line — the §5 analysis at `replicas ×` the world's line
+    /// count without ever materializing the scaled flow set.
+    /// `replicas == 1` is byte-identical to
+    /// [`analysis_pass`](RunArtifacts::analysis_pass).
     pub fn scaled_analysis_pass(
         &self,
         period: StudyPeriod,
@@ -1035,4 +1045,28 @@ pub mod prelude {
     pub use iotmap_super::{CheckpointStore, StagePolicy, Supervisor};
     pub use iotmap_traffic::AnalysisReport;
     pub use iotmap_world::{CollectedScans, World, WorldConfig};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cache_dir_from_env;
+    use std::ffi::OsString;
+    use std::path::PathBuf;
+
+    #[test]
+    fn blank_cache_env_means_no_cache() {
+        for blank in ["", " ", "\t\n "] {
+            assert_eq!(cache_dir_from_env(Some(blank.into())), None, "{blank:?}");
+        }
+        assert_eq!(cache_dir_from_env(None), None);
+        assert_eq!(
+            cache_dir_from_env(Some(OsString::from("/tmp/wc"))),
+            Some(PathBuf::from("/tmp/wc"))
+        );
+        // A set value is taken as given, surrounding spaces included.
+        assert_eq!(
+            cache_dir_from_env(Some(OsString::from(" dir "))),
+            Some(PathBuf::from(" dir "))
+        );
+    }
 }
